@@ -21,7 +21,7 @@ let timed f =
 
 (* With --metrics-dir DIR, experiments that verify a design also write
    their evaluator counters (plus any hand-timed phases) to
-   DIR/BENCH_<id>.json in the scald-metrics/5 shape, so runs can be
+   DIR/BENCH_<id>.json in the scald-metrics/6 shape, so runs can be
    compared column-by-column across commits. *)
 let metrics_dir : string option ref = ref None
 
@@ -65,8 +65,11 @@ let table_3_1 () =
   Printf.printf "  %-46s %10s %12s\n" "ACTIVITY" "paper(min)" "measured";
   Printf.printf "  MACRO EXPANSION\n";
   row "reading input files and building data structures" "1.92" t_read;
-  row "pass 1 of macro expansion" "8.42" e.Scald_sdl.Expander.e_pass1_s;
-  row "pass 2 of macro expansion" "6.18" e.Scald_sdl.Expander.e_pass2_s;
+  (* the two passes are sub-phases of one expansion: the definitions
+     scan, then the single walk that builds the netlist *)
+  row "pass 1 of macro expansion (definitions scan)" "8.42"
+    e.Scald_sdl.Expander.e_pass1_s;
+  row "pass 2 of macro expansion (single walk)" "6.18" e.Scald_sdl.Expander.e_pass2_s;
   Printf.printf "  TIMING VERIFIER\n";
   row "generating cross reference listings" "0.72" t_xref;
   row "verifying circuit" "6.75" t_verify;
@@ -904,74 +907,11 @@ let sched_speedup () =
   if (not agree) || (not det_level) || (not det_fifo) || reduction < budget then
     exit 1
 
-(* ---- flow pruning ------------------------------------------------------------------------------------- *)
-
-(* Stable-cone pruning (doc/FLOW.md) freezes the instances whose entire
-   input support the static signal-class analysis proved Const/Stable —
-   checkers above all, which the incremental evaluator otherwise
-   re-evaluates on every case.  The savings must be real (>= 15% fewer
-   evaluations on the multi-case workload) and free (identical
-   verdicts, and still bit-identical across job counts). *)
-let flow_prune () =
-  section "FLOW PRUNING: stable-cone freezing vs full evaluation, 8000-chip design";
-  let d = Netgen.generate (Netgen.scaled ~chips:8000 ()) in
-  let e = Netgen.to_netlist d in
-  let nl = e.Scald_sdl.Expander.e_netlist in
-  (* 256 cases (complete over 8 inputs): the first run evaluates every
-     instance once by design, so the freezing only pays off across the
-     case sweep — a deep sweep is exactly the thesis's workload (§2.7). *)
-  let inputs =
-    let found = ref [] in
-    Netlist.iter_nets nl (fun n ->
-        if List.length !found < 8
-           && String.length n.Netlist.n_name >= 3
-           && String.sub n.Netlist.n_name 0 3 = "IN "
-        then found := n.Netlist.n_name :: !found);
-    List.rev !found
-  in
-  let cases = Case_analysis.complete_exn inputs in
-  Printf.printf "  workload: %d chips, %d primitives, %d cases over %s\n"
-    (Netgen.n_chips d) (Netlist.n_insts nl) (List.length cases)
-    (String.concat ", " inputs);
-  let r_off, t_off =
-    wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 ~prune:false nl)
-  in
-  let r_on, t_on = wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 nl) in
-  let ev_off = r_off.Verifier.r_evaluations in
-  let ev_on = r_on.Verifier.r_evaluations in
-  let reduction =
-    100. *. (1. -. (float_of_int ev_on /. float_of_int (max 1 ev_off)))
-  in
-  let o = r_on.Verifier.r_obs in
-  Printf.printf "  %-44s %12d %10.4f s\n" "evaluations, pruning off" ev_off t_off;
-  Printf.printf "  %-44s %12d %10.4f s\n" "evaluations, pruning on" ev_on t_on;
-  Printf.printf "  %-44s %11.1f %%\n" "evaluation reduction" reduction;
-  Printf.printf "  %-44s %12d of %d\n" "instances frozen after the first run"
-    o.Verifier.os_pruned_insts (Netlist.n_insts nl);
-  Printf.printf "  %-44s %12d\n" "evaluations skipped on frozen instances"
-    o.Verifier.os_pruned_evals;
-  Printf.printf "  net classes: %d const, %d stable, %d clock, %d data, %d unknown\n"
-    o.Verifier.os_nets_const o.Verifier.os_nets_stable o.Verifier.os_nets_clock
-    o.Verifier.os_nets_data o.Verifier.os_nets_unknown;
-  let agree = verdicts_equal r_off r_on in
-  Printf.printf "  verdicts identical with pruning on vs off: %s\n"
-    (if agree then "PASS" else "FAIL");
-  let det = reports_equal r_on (Verifier.verify ~cases ~jobs:4 nl) in
-  Printf.printf "  pruned report bit-identical at -j 4: %s\n"
-    (if det then "PASS" else "FAIL");
-  emit_bench_metrics "flow-prune"
-    ~phases:[ ("verify_noprune", t_off); ("verify_prune", t_on) ]
-    r_on;
-  let budget = 15.0 in
-  Printf.printf "\n  evaluation-reduction budget >= %.0f%%: %s\n" budget
-    (if reduction >= budget then "PASS" else "FAIL");
-  if (not agree) || (not det) || reduction < budget then exit 1
-
 (* ---- window pruning ----------------------------------------------------------------------------------- *)
 
 (* Window pruning (doc/WINDOWS.md) proves checkers clean from static
-   arrival windows and serves their verdicts without evaluating them —
-   before the first run, where flow pruning cannot reach.  The gate is
+   arrival windows and serves their verdicts without evaluating them,
+   frozen before the first run.  The gate is
    on checker-kind evaluations (the work the proofs replace): at least
    20% fewer with window pruning on, for free (identical verdicts, and
    still bit-identical across job counts). *)
@@ -1590,7 +1530,6 @@ let experiments =
     ("par-speedup", par_speedup);
     ("sched-speedup", sched_speedup);
     ("corner-speedup", corner_speedup);
-    ("flow-prune", flow_prune);
     ("window-prune", window_prune_bench);
     ("incr-reverify", incr_reverify);
     ("telemetry-overhead", telemetry_overhead);

@@ -14,11 +14,14 @@ let make ?(wire_scale = nan) ~name delay_scale =
       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> ()
       | _ -> invalid_arg (Printf.sprintf "Corner.make: bad character in name %S" name))
     name;
-  if not (delay_scale > 0.0) then
-    invalid_arg (Printf.sprintf "Corner.make: corner %s needs a positive delay scale" name);
+  let valid x = x > 0.0 && Float.is_finite x in
+  if not (valid delay_scale) then
+    invalid_arg
+      (Printf.sprintf "Corner.make: corner %s needs a positive finite delay scale" name);
   let wire_scale = if Float.is_nan wire_scale then delay_scale else wire_scale in
-  if not (wire_scale > 0.0) then
-    invalid_arg (Printf.sprintf "Corner.make: corner %s needs a positive wire scale" name);
+  if not (valid wire_scale) then
+    invalid_arg
+      (Printf.sprintf "Corner.make: corner %s needs a positive finite wire scale" name);
   { name; delay_scale; wire_scale }
 
 let is_reference c = c.delay_scale = 1.0 && c.wire_scale = 1.0

@@ -30,7 +30,7 @@ val default : table
 val make : ?wire_scale:float -> name:string -> float -> t
 (** [make ~name delay_scale] — [wire_scale] defaults to [delay_scale].
     @raise Invalid_argument on an empty or non-alphanumeric name or a
-    non-positive factor. *)
+    factor that is not positive and finite. *)
 
 val is_reference : t -> bool
 (** Both factors are exactly [1.0]. *)
@@ -53,7 +53,8 @@ val of_spec : string -> table
     [name[=dscale[/wscale]]] entries, e.g. ["slow,typ,fast"] or
     ["typ,hot=1.4/1.2"].  Bare names must be one of the presets
     [slow=1.25], [typ=1.0], [fast=0.8].
-    @raise Invalid_argument on a malformed list. *)
+    @raise Invalid_argument on a malformed list or a factor {!make}
+    rejects ([inf], [nan], zero or negative). *)
 
 val to_string : t -> string
 (** Canonical [name=dscale/wscale] form ([of_spec]-compatible); used by

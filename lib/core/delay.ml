@@ -40,13 +40,22 @@ let add a b =
   { dmin = a.dmin + b.dmin; dmax = a.dmax + b.dmax; rise_fall }
 
 let scale f d =
-  if f <= 0.0 then invalid_arg "Delay.scale: factor must be positive";
+  if not (f > 0.0 && Float.is_finite f) then
+    invalid_arg "Delay.scale: factor must be positive and finite";
   if f = 1.0 then d
   else
     (* round the minimum down and the maximum up so the scaled range
-       still covers every physical delay the factor could produce *)
-    let lo p = max 0 (int_of_float (floor (f *. float_of_int p))) in
-    let hi p = max 0 (int_of_float (ceil (f *. float_of_int p))) in
+       still covers every physical delay the factor could produce; the
+       product of a positive factor and a delay is never negative *)
+    let to_ps x =
+      if not (x <= float_of_int Timebase.max_ps) then
+        invalid_arg
+          (Printf.sprintf "Delay.scale: x%g puts a delay outside the %d ps domain" f
+             Timebase.max_ps);
+      int_of_float x
+    in
+    let lo p = to_ps (floor (f *. float_of_int p)) in
+    let hi p = to_ps (ceil (f *. float_of_int p)) in
     let rise_fall =
       match d.rise_fall with
       | None -> None

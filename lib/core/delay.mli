@@ -52,7 +52,9 @@ val scale : float -> t -> t
     could physically produce; the rise/fall refinement is scaled
     edge-wise.  [scale 1.0 d] is physically [d] (the very same value),
     so the unscaled reference corner costs nothing.
-    @raise Invalid_argument unless [f > 0]. *)
+    @raise Invalid_argument unless [f] is positive and finite, or when a
+    scaled bound leaves the integer-picosecond domain
+    ({!Timebase.max_ps}). *)
 
 val spread : t -> Timebase.ps
 (** [dmax - dmin]: the skew contributed by this delay. *)

@@ -103,18 +103,15 @@ type t = {
   mutable evals_saved : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  (* Stable-cone pruning (doc/FLOW.md): instances the static analysis
-     proved inert are frozen after the first run and skipped at enqueue
-     time.  [frozen] stays all-false without a [flow] table. *)
-  flow : Flow.t option;
-  (* Window pruning (doc/WINDOWS.md): checkers the arrival-window
-     analysis proved at every corner are frozen from creation — their
-     verdicts are served statically by the check functions below.
-     [frozen] is three-valued: '\000' live, '\001' flow-frozen,
-     '\002' window-frozen, so the two prunes count separately. *)
+  (* Frozen instances are skipped at enqueue time.  Window pruning
+     (doc/WINDOWS.md): checkers the arrival-window analysis proved at
+     every corner are frozen from creation — their verdicts are served
+     statically by the check functions below.  The incremental service
+     freezes everything outside an edit's dirty cone ([refreeze]).
+     [frozen] is three-valued: '\000' live, '\001' outside the dirty
+     cone, '\002' window-frozen, so the two count separately. *)
   mutable window : Window.t option;
-  frozen : Bytes.t;  (* '\000' live / '\001' flow / '\002' window *)
-  mutable froze : bool;
+  frozen : Bytes.t;  (* '\000' live / '\001' outside the cone / '\002' window *)
   mutable pruned_evals : int;
   mutable window_evals : int;
   mutable window_checks : int;
@@ -130,7 +127,7 @@ type t = {
   mutable initialized : bool;
 }
 
-let create ?(mode = Level) ?sched ?flow ?window nl =
+let create ?(mode = Level) ?sched ?window nl =
   let n_insts = Netlist.n_insts nl in
   let conn_base = Array.make (max 1 n_insts) 0 in
   let n_conns = ref 0 in
@@ -199,7 +196,6 @@ let create ?(mode = Level) ?sched ?flow ?window nl =
     evals_saved = 0;
     cache_hits = 0;
     cache_misses = 0;
-    flow;
     window;
     frozen =
       (let b = Bytes.make (max 1 n_insts) '\000' in
@@ -208,14 +204,12 @@ let create ?(mode = Level) ?sched ?flow ?window nl =
          (* Statically proven checkers never need evaluating: their
             verdict is served by [check_inst_lane], and evaluating a
             checker computes nothing (no output net).  Frozen before the
-            first run — unlike flow pruning, which must see every
-            instance evaluated once. *)
+            first run. *)
          for id = 0 to n_insts - 1 do
            if Window.inst_proven w id then Bytes.unsafe_set b id '\002'
          done
        | None -> ());
        b);
-    froze = false;
     pruned_evals = 0;
     window_evals = 0;
     window_checks = 0;
@@ -270,13 +264,7 @@ type counters = {
   c_max_scc_size : int;
   c_cache_hits : int;
   c_cache_misses : int;
-  c_pruned_insts : int;
   c_pruned_evals : int;
-  c_nets_const : int;
-  c_nets_stable : int;
-  c_nets_clock : int;
-  c_nets_data : int;
-  c_nets_unknown : int;
   c_corners : int;
   c_corner_lanes_shared : int;
   c_corner_evals_saved : int;
@@ -300,11 +288,6 @@ let counters t =
     | Some s -> (Sched.n_levels s, Sched.n_sccs s, Sched.max_scc_size s)
     | None -> (0, 0, 0)
   in
-  let pruned_insts, (nc, ns, nck, nd, nu) =
-    match t.flow with
-    | Some f -> ((if t.froze then Flow.n_prunable f else 0), Flow.class_counts f)
-    | None -> (0, (0, 0, 0, 0, 0))
-  in
   {
     c_requests = t.requests;
     c_events = t.events;
@@ -317,13 +300,7 @@ let counters t =
     c_max_scc_size = max_scc;
     c_cache_hits = t.cache_hits;
     c_cache_misses = t.cache_misses;
-    c_pruned_insts = pruned_insts;
     c_pruned_evals = t.pruned_evals;
-    c_nets_const = nc;
-    c_nets_stable = ns;
-    c_nets_clock = nck;
-    c_nets_data = nd;
-    c_nets_unknown = nu;
     c_corners = Array.length t.corners;
     c_corner_lanes_shared = t.lanes_shared;
     c_corner_evals_saved = t.evals_saved;
@@ -354,13 +331,7 @@ let zero_counters =
     c_max_scc_size = 0;
     c_cache_hits = 0;
     c_cache_misses = 0;
-    c_pruned_insts = 0;
     c_pruned_evals = 0;
-    c_nets_const = 0;
-    c_nets_stable = 0;
-    c_nets_clock = 0;
-    c_nets_data = 0;
-    c_nets_unknown = 0;
     c_corners = 0;
     c_corner_lanes_shared = 0;
     c_corner_evals_saved = 0;
@@ -387,9 +358,9 @@ let merge_by_kind a b =
   in
   go a b
 
-(* Accumulators sum; the high-water mark, the schedule shape and the
-   pruning shape (identical across runs of one structure, or
-   incomparable across structures) take the max. *)
+(* Accumulators sum; the high-water mark and the schedule shape
+   (identical across runs of one structure, or incomparable across
+   structures) take the max. *)
 let merge_counters a b =
   {
     c_requests = a.c_requests + b.c_requests;
@@ -403,13 +374,7 @@ let merge_counters a b =
     c_max_scc_size = max a.c_max_scc_size b.c_max_scc_size;
     c_cache_hits = a.c_cache_hits + b.c_cache_hits;
     c_cache_misses = a.c_cache_misses + b.c_cache_misses;
-    c_pruned_insts = max a.c_pruned_insts b.c_pruned_insts;
     c_pruned_evals = a.c_pruned_evals + b.c_pruned_evals;
-    c_nets_const = max a.c_nets_const b.c_nets_const;
-    c_nets_stable = max a.c_nets_stable b.c_nets_stable;
-    c_nets_clock = max a.c_nets_clock b.c_nets_clock;
-    c_nets_data = max a.c_nets_data b.c_nets_data;
-    c_nets_unknown = max a.c_nets_unknown b.c_nets_unknown;
     c_corners = max a.c_corners b.c_corners;
     c_corner_lanes_shared = a.c_corner_lanes_shared + b.c_corner_lanes_shared;
     c_corner_evals_saved = a.c_corner_evals_saved + b.c_corner_evals_saved;
@@ -1128,22 +1093,7 @@ let run ?(case = []) t =
         end)
       wanted
   end;
-  fixpoint t;
-  (* Freeze after the first run: every instance has been evaluated at
-     least once by now, and a provably inert instance (doc/FLOW.md) can
-     only ever recompute what it already holds — the work list need
-     never see it again.  The set is static, so every evaluator of the
-     same netlist (including the Netlist.copys of parallel case
-     evaluation) freezes identically. *)
-  match t.flow with
-  | Some f when not t.froze ->
-    t.froze <- true;
-    for id = 0 to Netlist.n_insts t.nl - 1 do
-      (* never downgrade a window freeze to a flow freeze *)
-      if Flow.prunable f id && Bytes.unsafe_get t.frozen id = '\000' then
-        Bytes.unsafe_set t.frozen id '\001'
-    done
-  | Some _ | None -> ()
+  fixpoint t
 
 let value t id = (Netlist.net t.nl id).n_value
 
@@ -1180,13 +1130,12 @@ let reassert_net t net_id =
 (* Replace the frozen set wholesale: [active id] instances stay live,
    everything else is skipped at enqueue time.  The incremental service
    thaws exactly the dirty cone of an edit and freezes the rest —
-   instances outside the cone already hold their fixpoint waveforms, so
-   freezing them is the cross-run analogue of Flow pruning. *)
+   instances outside the cone already hold their fixpoint waveforms and
+   can only recompute what they hold. *)
 let refreeze t ~active =
   for id = 0 to Netlist.n_insts t.nl - 1 do
     Bytes.unsafe_set t.frozen id (if active id then '\000' else '\001')
-  done;
-  t.froze <- true
+  done
 
 (* Re-apply the window freeze after [refreeze] rebuilt the byte map: a
    checker the (possibly updated) analysis still proves stays statically

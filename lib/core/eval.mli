@@ -34,27 +34,21 @@ type mode =
   | Level  (** level-ordered sweep, FIFO inside feedback components *)
 
 val create :
-  ?mode:mode -> ?sched:Sched.t -> ?flow:Flow.t -> ?window:Window.t -> Netlist.t -> t
+  ?mode:mode -> ?sched:Sched.t -> ?window:Window.t -> Netlist.t -> t
 (** [mode] defaults to {!Level}.  [sched] supplies a precomputed
     schedule (it must describe the same structure, e.g. the original of
     a {!Netlist.copy}); without it, {!Level} mode computes one at the
     first {!run}.  [sched] is ignored in {!Fifo} mode.
-
-    [flow] enables stable-cone pruning (doc/FLOW.md): after the first
-    {!run} — which evaluates every instance at least once — instances
-    the analysis proved inert ({!Flow.prunable}) are frozen and skipped
-    by every later enqueue.  The analysis must describe the same
-    structure and must have been given the union of the mapped nets of
-    every case that will be run ([Flow.analyse ~case_nets]); both modes
-    honour it.  Without [flow] nothing is ever frozen.
 
     [window] enables arrival-window pruning (doc/WINDOWS.md): checkers
     the analysis statically proves clean at every corner
     ({!Window.inst_proven}) are frozen from creation and their empty
     verdicts served without evaluation on every lane; nets whose stable
     assertions are proven ({!Window.net_proven}) are served likewise.
-    The analysis must describe the same structure and have been given
-    the same [~case_nets] union as [flow]. *)
+    The analysis must describe the same structure and must have been
+    given the union of the mapped nets of every case that will be run
+    ([Window.analyse ~case_nets]); both modes honour it.  Without
+    [window] nothing is frozen until {!refreeze}. *)
 
 val mode : t -> mode
 
@@ -223,15 +217,9 @@ type counters = {
   c_cache_hits : int;
       (** input-waveform / register-data cache hits (generation match) *)
   c_cache_misses : int;  (** cache fills *)
-  c_pruned_insts : int;
-      (** instances frozen by stable-cone pruning; [0] until the first
-          run has completed, or when no {!Flow.t} was supplied *)
-  c_pruned_evals : int;  (** evaluations skipped on frozen instances *)
-  c_nets_const : int;  (** nets per {!Flow.cls}; all [0] without a flow *)
-  c_nets_stable : int;
-  c_nets_clock : int;
-  c_nets_data : int;
-  c_nets_unknown : int;
+  c_pruned_evals : int;
+      (** evaluations skipped on instances outside an edit's dirty cone
+          ({!refreeze}); [0] outside the incremental service *)
   c_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
   c_corner_lanes_shared : int;
       (** lane outputs that converged to the reference waveform and were
@@ -262,8 +250,9 @@ type counters = {
 val counters : t -> counters
 (** Snapshot of the counters accumulated since creation (or the last
     {!reset_counters}).  The schedule-shape fields ([c_sched_levels],
-    [c_sccs], [c_max_scc_size]) and the pruning-shape fields
-    ([c_pruned_insts], [c_nets_*]) are properties of the netlist and its
+    [c_sccs], [c_max_scc_size]) and the proof-shape fields
+    ([c_window_insts], [c_window_nets], [c_window_unbounded],
+    [c_window_lanes_static]) are properties of the netlist and its
     analysis, not accumulators — {!reset_counters} leaves them
     readable. *)
 
@@ -272,7 +261,7 @@ val zero_counters : counters
 
 val merge_counters : counters -> counters -> counters
 (** Combine two snapshots: accumulators sum; the queue high-water mark,
-    the schedule-shape and the pruning-shape fields take the max (they
+    the schedule-shape and the proof-shape fields take the max (they
     are identical across runs of one structure).  Used both to merge
     parallel shards ({!Verifier.verify} with [~jobs]) and to carry
     cumulative totals across the requests of an incremental session. *)

@@ -12,11 +12,8 @@ type cls =
 
 type t = {
   nl : Netlist.t;
-  sched : Sched.t;
   classes : cls array;
   rc : bool array;
-  prune : bool array;
-  n_prunable : int;
 }
 
 (* Domain sets are short sorted int lists (one entry per asserted clock
@@ -61,23 +58,15 @@ let combine inputs =
       else if has_clock then Some (Clock { domains = doms; gated = true })
       else Some Stable
 
-let analyse ?sched:sched_opt ?(case_nets = []) nl =
-  let sched = match sched_opt with Some s -> s | None -> Sched.compute nl in
+let analyse nl =
+  let sched = Sched.compute nl in
   let n_nets = Netlist.n_nets nl in
-  let n_insts = Netlist.n_insts nl in
-  let volatile = Array.make (max 1 n_nets) false in
-  List.iter (fun id -> if id >= 0 && id < n_nets then volatile.(id) <- true) case_nets;
   (* None is bottom; [pinned] nets never take a transfer class. *)
   let work : cls option array = Array.make (max 1 n_nets) None in
   let pinned = Array.make (max 1 n_nets) false in
   let rc = Array.make (max 1 n_nets) false in
   let tb = Netlist.timebase nl in
   let defaults = Netlist.defaults nl in
-  (* A net case analysis may substitute is not provably stable for the
-     run, whatever the static cone says (§2.7). *)
-  let demote id c =
-    match c with (Const _ | Stable) when volatile.(id) -> Data [] | c -> c
-  in
   Netlist.iter_nets nl (fun n ->
       let id = n.Netlist.n_id in
       match n.Netlist.n_assertion with
@@ -90,13 +79,13 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
       | Some a when n.Netlist.n_driver = None ->
         let wf = Assertion.to_waveform defaults tb a in
         let c = if Waveform.stable_everywhere wf then Stable else Data [] in
-        work.(id) <- Some (demote id c);
+        work.(id) <- Some c;
         pinned.(id) <- true
       | Some _ -> () (* driven .S net: the driver's class is the truth *)
       | None ->
         if n.Netlist.n_driver = None then begin
           (* the verifier assumes undriven unasserted nets stable (§2.5) *)
-          work.(id) <- Some (demote id Stable);
+          work.(id) <- Some Stable;
           pinned.(id) <- true
         end);
   let transfer (i : Netlist.inst) =
@@ -160,7 +149,7 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
       let changed = ref false in
       if not pinned.(o) then begin
         let c =
-          match transfer i with Some c -> Some (demote o c) | None -> None
+          match transfer i with Some c -> Some c | None -> None
         in
         if c <> work.(o) then begin
           work.(o) <- c;
@@ -219,60 +208,39 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
         if id >= n_nets then Unknown
         else match work.(id) with Some c -> c | None -> Unknown)
   in
-  let prune = Array.make (max 1 n_insts) false in
-  let n_prunable = ref 0 in
-  Netlist.iter_insts nl (fun i ->
-      let p =
-        if not (Primitive.has_output i.Netlist.i_prim) then
-          (* checkers: eval_inst computes nothing for them; the real
-             checking pass (Eval.check) never consults the work list *)
-          true
-        else
-          Sched.cyclic_slot sched i.Netlist.i_id < 0
-          && Array.for_all
-               (fun (c : Netlist.conn) -> is_fixed_cls classes.(c.Netlist.c_net))
-               i.Netlist.i_inputs
-      in
-      if p then incr n_prunable;
-      prune.(i.Netlist.i_id) <- p);
-  { nl; sched; classes; rc; prune; n_prunable = !n_prunable }
+  { nl; classes; rc }
 
 let netlist t = t.nl
-let sched t = t.sched
 let cls t id = t.classes.(id)
 let domains t id = domains_of t.classes.(id)
 let reaches_clock t id = t.rc.(id)
-let prunable t id = t.prune.(id)
-let n_prunable t = t.n_prunable
-
-let class_counts t =
-  let c = ref 0 and s = ref 0 and ck = ref 0 and d = ref 0 and u = ref 0 in
-  Netlist.iter_nets t.nl (fun n ->
-      match t.classes.(n.Netlist.n_id) with
-      | Const _ -> incr c
-      | Stable -> incr s
-      | Clock _ -> incr ck
-      | Data _ -> incr d
-      | Unknown -> incr u);
-  (!c, !s, !ck, !d, !u)
 
 let pp_classes ppf t =
   let name id = (Netlist.net t.nl id).Netlist.n_name in
+  let c = ref 0 and s = ref 0 and ck = ref 0 and d = ref 0 and u = ref 0 in
   let domain_names ds = String.concat ", " (List.map name ds) in
   Format.fprintf ppf "@[<v>SIGNAL CLASS LISTING@,@,";
   Netlist.iter_nets t.nl (fun n ->
       let id = n.Netlist.n_id in
       let cls_str =
         match t.classes.(id) with
-        | Const v -> Printf.sprintf "const %c" (Tvalue.to_char v)
-        | Stable -> "stable"
+        | Const v ->
+          incr c;
+          Printf.sprintf "const %c" (Tvalue.to_char v)
+        | Stable ->
+          incr s;
+          "stable"
         | Clock { domains; gated } ->
+          incr ck;
           Printf.sprintf "clock%s {%s}"
             (if gated then " (gated)" else "")
             (domain_names domains)
-        | Data [] -> "data {}"
-        | Data ds -> Printf.sprintf "data {%s}" (domain_names ds)
-        | Unknown -> "unknown"
+        | Data ds ->
+          incr d;
+          if ds = [] then "data {}" else Printf.sprintf "data {%s}" (domain_names ds)
+        | Unknown ->
+          incr u;
+          "unknown"
       in
       let witness =
         match n.Netlist.n_assertion with
@@ -285,8 +253,5 @@ let pp_classes ppf t =
               (Primitive.mnemonic (Netlist.inst t.nl d).Netlist.i_prim))
       in
       Format.fprintf ppf "%-28s %-28s %s@," n.Netlist.n_name cls_str witness);
-  let c, s, ck, d, u = class_counts t in
-  Format.fprintf ppf "@,%d CONST %d STABLE %d CLOCK %d DATA %d UNKNOWN (%d nets)@,"
-    c s ck d u (Netlist.n_nets t.nl);
-  Format.fprintf ppf "%d of %d instances prunable@,@]" t.n_prunable
-    (Netlist.n_insts t.nl)
+  Format.fprintf ppf "@,%d CONST %d STABLE %d CLOCK %d DATA %d UNKNOWN (%d nets)@,@]"
+    !c !s !ck !d !u (Netlist.n_nets t.nl)

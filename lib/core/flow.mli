@@ -23,12 +23,12 @@
     - [Unknown] — the analysis gave up (e.g. a feedback component that
       did not stabilize within its widening budget).
 
-    Three consumers share one analysis: the lint rules C1/C4/C6/C7/K7
-    (clock-cone and clock-domain evidence), the evaluator's stable-cone
-    pruning ({!Eval.create}[ ?flow], [Verifier.verify ?prune]), and the
-    [--classes] CLI listing.  The analysis is purely structural — it
-    never calls {!Eval} — and the resulting table is immutable, so one
-    instance is shared read-only across [-j] evaluation domains. *)
+    Two consumers share one analysis: the lint rules C1/C4/C6/C7/K7
+    (clock-cone and clock-domain evidence) and the [--classes] CLI
+    listing.  The analysis is purely structural — it never calls
+    {!Eval} — and the resulting table is immutable.  Evaluation work is
+    pruned by the arrival-window analysis instead ({!Window}), whose
+    proofs cover every instance this class table could freeze. *)
 
 type cls =
   | Const of Tvalue.t
@@ -41,22 +41,12 @@ type cls =
 
 type t
 
-val analyse : ?sched:Sched.t -> ?case_nets:int list -> Netlist.t -> t
-(** Classify every net of the netlist.  O(nets + connections) plus the
-    bounded relaxation of feedback components.  [sched] reuses an
-    existing condensation instead of recomputing one.
-
-    [case_nets] are nets that case analysis may substitute (§2.7): they
-    and their cones are demoted from [Const]/[Stable] to [Data []], so
-    {!prunable} never freezes an instance whose inputs a later case
-    could change.  Pass the union of the mapped nets of {e all} cases of
-    the run; the class listing and the lint rules use the default
-    (empty) for a case-independent static view. *)
+val analyse : Netlist.t -> t
+(** Classify every net of the netlist: a case-independent static view.
+    O(nets + connections) plus the bounded relaxation of feedback
+    components. *)
 
 val netlist : t -> Netlist.t
-val sched : t -> Sched.t
-(** The condensation the analysis ran over (computed here unless one was
-    passed in), exposed so the caller can share it onward. *)
 
 val cls : t -> int -> cls
 (** [cls t net_id] — the inferred class of a net. *)
@@ -70,20 +60,8 @@ val reaches_clock : t -> int -> bool
     (the net itself included) contain a [.P]/[.C]-asserted signal?
     Exactly the question lint rule C1 asks of edge-sensitive inputs. *)
 
-val prunable : t -> int -> bool
-(** [prunable t inst_id] — may the evaluator freeze this instance after
-    its first evaluation?  True for checkers (their {!Eval} evaluation
-    computes nothing — checking happens in [Eval.check], which ignores
-    freezing) and for acyclic instances whose entire input support is
-    [Const]/[Stable] (their inputs can never change after the first
-    converged run, so re-evaluation is a no-op by construction). *)
-
-val n_prunable : t -> int
-
-val class_counts : t -> int * int * int * int * int
-(** [(const, stable, clock, data, unknown)] net counts. *)
-
 val pp_classes : Format.formatter -> t -> unit
 (** The [--classes] listing: one line per net, in net-id order, with the
     inferred class, its clock domains, and the witness (the assertion,
-    or the structural reason) that produced it. *)
+    or the structural reason) that produced it, then the per-class net
+    counts. *)

@@ -270,8 +270,34 @@ let set_assertion t id a = t.nets.(id).n_assertion <- a
 
 let corners t = t.corners
 
+(* Scale the largest element and wire delay by every corner now, so a
+   factor that pushes a delay out of the picosecond domain fails here,
+   at the boundary, rather than in the middle of an evaluation. *)
+let check_corner_range t tbl =
+  let elem = ref 0 and wire = ref t.default_wire.Delay.dmax in
+  for id = 0 to t.n_insts - 1 do
+    match t.insts.(id).i_prim with
+    | Primitive.Gate { delay; _ } | Primitive.Buf { delay; _ }
+    | Primitive.Reg { delay; _ } | Primitive.Latch { delay; _ } ->
+      elem := max !elem delay.Delay.dmax
+    | Primitive.Mux2 { delay; select_extra } ->
+      elem := max !elem (max delay.Delay.dmax select_extra.Delay.dmax)
+    | _ -> ()
+  done;
+  for id = 0 to t.n_nets - 1 do
+    match t.nets.(id).n_wire_delay with
+    | Some d -> wire := max !wire d.Delay.dmax
+    | None -> ()
+  done;
+  Array.iter
+    (fun c ->
+      ignore (Corner.scale_delay c (Delay.make 0 !elem));
+      ignore (Corner.scale_wire c (Delay.make 0 !wire)))
+    tbl
+
 let set_corners t tbl =
   Corner.validate_table tbl;
+  check_corner_range t tbl;
   t.corners <- tbl
 
 let replace_prim t id prim =

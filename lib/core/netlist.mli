@@ -162,7 +162,9 @@ val corners : t -> Corner.table
 val set_corners : t -> Corner.table -> unit
 (** Install a corner table (SDL [CORNERS] directive, CLI [--corners], or
     an incremental [corners] edit).  {!copy} carries the table.
-    @raise Invalid_argument on an empty table or duplicate names. *)
+    @raise Invalid_argument on an empty table, duplicate names, or a
+    factor that scales one of the netlist's delays out of the
+    integer-picosecond domain ({!Delay.scale}). *)
 
 val set_element_delay : t -> int -> Delay.t -> unit
 (** Replace the element delay of a gate, buffer, multiplexer, register

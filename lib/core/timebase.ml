@@ -2,7 +2,18 @@ type ps = int
 
 type t = { period : ps; clock_unit : ps }
 
-let ps_of_ns ns = int_of_float (Float.round (ns *. 1000.))
+let max_ps = 1_000_000_000_000_000
+
+(* A rounded picosecond count into the integer domain; NaN fails the
+   comparison too. *)
+let ps_of_float what x =
+  let r = Float.round x in
+  if not (Float.abs r <= float_of_int max_ps) then
+    invalid_arg
+      (Printf.sprintf "Timebase.%s: %g ps is outside the domain of +/-%d ps" what r max_ps);
+  int_of_float r
+
+let ps_of_ns ns = ps_of_float "ps_of_ns" (ns *. 1000.)
 
 let ns_of_ps ps = float_of_int ps /. 1000.
 
@@ -20,7 +31,7 @@ let clock_unit tb = tb.clock_unit
 
 let units_per_period tb = float_of_int tb.period /. float_of_int tb.clock_unit
 
-let ps_of_units tb u = int_of_float (Float.round (u *. float_of_int tb.clock_unit))
+let ps_of_units tb u = ps_of_float "ps_of_units" (u *. float_of_int tb.clock_unit)
 
 let units_of_ps tb ps = float_of_int ps /. float_of_int tb.clock_unit
 

@@ -34,14 +34,25 @@ val clock_unit : t -> ps
 val units_per_period : t -> float
 (** Number of clock units in one period (need not be integral). *)
 
+val max_ps : ps
+(** The bound of the integer-picosecond domain: 10{^15} ps (1000 s).
+    Every time the verifier handles lies in [\[-max_ps, max_ps\]].  The
+    bound is below 2{^53}, so each such value is exact as a float, and
+    thousands of them sum without overflowing a native int. *)
+
 val ps_of_ns : float -> ps
-(** Convert nanoseconds to picoseconds, rounding to the nearest ps. *)
+(** Convert nanoseconds to picoseconds, rounding to the nearest ps.
+
+    @raise Invalid_argument if the value is not finite or lies outside
+    [\[-max_ps, max_ps\]] once converted. *)
 
 val ns_of_ps : ps -> float
 (** Convert picoseconds back to nanoseconds. *)
 
 val ps_of_units : t -> float -> ps
-(** Convert designer clock units to picoseconds. *)
+(** Convert designer clock units to picoseconds.
+
+    @raise Invalid_argument like {!ps_of_ns}. *)
 
 val units_of_ps : t -> ps -> float
 (** Convert picoseconds to designer clock units. *)

@@ -52,16 +52,9 @@ type obs_summary = {
   os_max_scc_size : int;  (** largest component; [1] when acyclic *)
   os_cache_hits : int;  (** input-waveform cache hits (see {!Eval}) *)
   os_cache_misses : int;  (** input-waveform cache fills *)
-  os_pruned_insts : int;
-      (** instances frozen by stable-cone pruning; [0] under
-          [~prune:false] *)
-  os_pruned_evals : int;  (** evaluations skipped on frozen instances *)
-  os_nets_const : int;
-      (** nets per inferred {!Flow.cls}; all [0] under [~prune:false] *)
-  os_nets_stable : int;
-  os_nets_clock : int;
-  os_nets_data : int;
-  os_nets_unknown : int;
+  os_pruned_evals : int;
+      (** evaluations skipped on instances outside an edit's dirty cone
+          ({!Eval.refreeze}); [0] for one-shot runs *)
   os_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
   os_corner_lanes_shared : int;
       (** lane outputs stored as the shared reference record *)
@@ -135,10 +128,8 @@ val verify :
   ?cases:Case_analysis.case list ->
   ?jobs:int ->
   ?sched:Eval.mode ->
-  ?prune:bool ->
   ?window_prune:bool ->
   ?merge_cases:bool ->
-  ?analysis:Sched.t * Flow.t ->
   ?window:Window.t ->
   ?corners:Corner.table ->
   Netlist.t ->
@@ -156,8 +147,9 @@ val verify :
     schedule does it in fewer evaluations, so the flow counters
     ([r_events], [r_evaluations], [r_obs]) differ between disciplines —
     but never between job counts within one discipline (see
-    [doc/SCHEDULER.md]).  With [jobs > 1] the schedule is computed once
-    on the calling domain and shared read-only by every worker.
+    [doc/SCHEDULER.md]).  The schedule is computed once on the calling
+    domain — taken from the window analysis when there is one — and
+    shared read-only by every worker.
 
     [jobs] (default 1) is the number of domains to shard the cases
     over; [0] means {!Par.available}.  It is clamped to the case count,
@@ -169,24 +161,14 @@ val verify :
     hook calls are buffered per domain and replayed in case order after
     the join, so the event stream a consumer sees is the sequential one.
 
-    [prune] (default [true]) runs the static signal-class analysis
-    ({!Flow.analyse}, fed the union of the mapped nets of every case)
-    and lets the evaluator freeze instances whose entire input support
-    is provably constant or stable after their first evaluation
-    (doc/FLOW.md).  Pruning never changes the verdict — waveforms,
-    violations, per-case event counts and convergence flags are
-    bit-identical to [~prune:false]; only the work counters differ
-    (fewer evaluations and enqueues, [os_pruned_insts] /
-    [os_pruned_evals] non-zero).  CLI: [--no-prune].
-
     [window_prune] (default [true]) runs the static arrival-window
-    analysis ({!Window.analyse}, doc/WINDOWS.md) and serves the verdicts
-    of checkers it proves clean at every corner without evaluating them
-    — composing with [prune] (different freeze reasons are counted
-    separately) and with multi-corner lanes (proofs quantify over the
-    whole table).  Like [prune], it never changes the verdict: reports
-    are bit-identical to [~window_prune:false] at any [jobs]; only the
-    work counters differ ([os_window_*]).  CLI: [--no-window-prune].
+    analysis ({!Window.analyse}, doc/WINDOWS.md, fed the union of the
+    mapped nets of every case) and serves the verdicts of checkers it
+    proves clean at every corner without evaluating them — composing
+    with multi-corner lanes (proofs quantify over the whole table).  It
+    never changes the verdict: waveforms, violations and convergence
+    flags are bit-identical to [~window_prune:false] at any [jobs]; only
+    the work counters differ ([os_window_*]).  CLI: [--no-window-prune].
 
     [merge_cases] (default [false]) partitions the case list by
     {!Window.case_signature} and evaluates one representative per
@@ -195,11 +177,9 @@ val verify :
     [os_cases_merged]; [r_cases] then holds the representatives only.
     CLI: [--merge-cases].
 
-    [analysis] supplies a precomputed schedule and flow analysis (they
-    must describe this netlist's structure and cover this run's case
-    nets); used by the incremental service, which computes them once per
-    session.  Ignored under [~prune:false].  [window] likewise supplies
-    a precomputed window analysis (kept current across edits with
+    [window] supplies a precomputed window analysis (it must describe
+    this netlist's structure and cover this run's case nets; the
+    incremental service keeps one current across edits with
     {!Window.update}); ignored when both [window_prune] and
     [merge_cases] are off.
 

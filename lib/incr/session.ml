@@ -109,12 +109,8 @@ let cached_check t =
 let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
   let sched = Sched.compute nl in
   let case_nets = resolved_case_nets nl cases in
-  let flow = Flow.analyse ~sched ~case_nets nl in
   let window = Window.analyse ~sched ~case_nets nl in
-  let report =
-    Verifier.verify ~cases ~jobs:1 ?probe ~sched:mode ~analysis:(sched, flow)
-      ~window nl
-  in
+  let report = Verifier.verify ~cases ~jobs:1 ?probe ~sched:mode ~window nl in
   let ev = report.Verifier.r_eval in
   let t =
     {

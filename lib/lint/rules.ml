@@ -1,12 +1,21 @@
 open Scald_core
 module R = Lint_report
 
+(* The signal-class analysis (Flow) answers every cone question the
+   rules ask — clock reachability (C1), derived clocks (C4, K7), clock
+   domains (C6, C7) — and the window analysis the W rules'.  Each is
+   built at most once per audit, on first use, and never outlives it:
+   an edited netlist gets fresh analyses on its next audit. *)
+type ctx = { nl : Netlist.t; flow : Flow.t Lazy.t; window : Window.t Lazy.t }
+
+let context nl = { nl; flow = lazy (Flow.analyse nl); window = lazy (Window.analyse nl) }
+
 type rule = {
   id : string;
   title : string;
   section : string;
   severity : R.severity;
-  check : Netlist.t -> R.finding list;
+  check : ctx -> R.finding list;
 }
 
 let finding rule severity locus message hint =
@@ -42,20 +51,6 @@ let is_data_checker = function
 let is_gating = function
   | Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _ -> true
   | _ -> false
-
-(* The signal-class analysis (Flow) answers every cone question the
-   rules ask — clock reachability (C1), derived clocks (C4, K7), clock
-   domains (C6, C7).  One analysis per netlist, memoized on physical
-   equality: the driver runs each rule over the same netlist value. *)
-let flow_cache : (Netlist.t * Flow.t) option ref = ref None
-
-let flow_for nl =
-  match !flow_cache with
-  | Some (nl', f) when nl' == nl -> f
-  | _ ->
-    let f = Flow.analyse nl in
-    flow_cache := Some (nl, f);
-    f
 
 let domain_names nl ds = String.concat ", " (List.map (net_name nl) ds)
 
@@ -123,8 +118,8 @@ let wire_dmax nl id =
 (* C1: every edge-sensitive input traces back to a clock assertion.
    [Flow.reaches_clock] is the shared cone analysis' answer to exactly
    the question the old private DFS asked. *)
-let check_c1 nl =
-  let flow = flow_for nl in
+let check_c1 { nl; flow; _ } =
+  let flow = Lazy.force flow in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       match edge_input i with
@@ -142,7 +137,7 @@ let check_c1 nl =
 (* C2: every primary (undriven) input carries an assertion.  Subsumes
    Netlist.undriven_unasserted: the verifier would silently assume
    these signals always stable (2.5). *)
-let check_c2 nl =
+let check_c2 { nl; _ } =
   List.map
     (fun (n : Netlist.net) ->
       finding "C2" R.Error (R.Net n.Netlist.n_name)
@@ -151,7 +146,7 @@ let check_c2 nl =
     (Netlist.undriven_unasserted nl)
 
 (* C3: every register/latch data input is covered by a checker. *)
-let check_c3 nl =
+let check_c3 { nl; _ } =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       match i.Netlist.i_prim with
@@ -180,8 +175,8 @@ let check_c3 nl =
    non-hazard directive counts as a designer waiver and is only noted.
    Keyed on the inferred class, not the assertion, so a clock derived
    through buffers or prior gating is still recognized as a clock. *)
-let check_c4 nl =
-  let flow = flow_for nl in
+let check_c4 { nl; flow; _ } =
+  let flow = Lazy.force flow in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       match i.Netlist.i_prim with
@@ -215,7 +210,7 @@ let check_c4 nl =
 
 (* C5: clocks state their skew explicitly where the design rules give a
    non-zero default. *)
-let check_c5 nl =
+let check_c5 { nl; _ } =
   let defaults = Netlist.defaults nl in
   let acc = ref [] in
   Netlist.iter_nets nl (fun n ->
@@ -243,8 +238,8 @@ let check_c5 nl =
    constraint relating the two — the classic unconstrained CDC.  Empty
    data domains (changing primary inputs) are the ordinary synchronous
    case and say nothing about crossing. *)
-let check_c6 nl =
-  let flow = flow_for nl in
+let check_c6 { nl; flow; _ } =
+  let flow = Lazy.force flow in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       match i.Netlist.i_prim with
@@ -273,8 +268,8 @@ let check_c6 nl =
    by unrelated clocks; their combination has no single-cycle meaning.
    Inputs sharing any domain (a parity tree, an ALU) are fine, as are
    clock-class inputs — gating is C4/K7's business, not convergence. *)
-let check_c7 nl =
-  let flow = flow_for nl in
+let check_c7 { nl; flow; _ } =
+  let flow = Lazy.force flow in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if is_gating i.Netlist.i_prim then begin
@@ -310,7 +305,7 @@ let check_c7 nl =
 (* ---- consistency rules ----------------------------------------------------- *)
 
 (* K1: delay ranges are sane and fit within the clock period. *)
-let check_k1 nl =
+let check_k1 { nl; _ } =
   let period = Timebase.period (Netlist.timebase nl) in
   let check_delay locus what (d : Delay.t) =
     if d.Delay.dmin < 0 || d.Delay.dmin > d.Delay.dmax then
@@ -352,7 +347,7 @@ let check_k1 nl =
 
 (* K2: checker constraints are feasible within the period (the
    exemplar's K5-style basic feasibility). *)
-let check_k2 nl =
+let check_k2 { nl; _ } =
   let period = Timebase.period (Netlist.timebase nl) in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
@@ -401,7 +396,7 @@ let check_k2 nl =
 
 (* K3: directive strings no longer than the gating depth that consumes
    them (2.8). *)
-let check_k3 nl =
+let check_k3 { nl; _ } =
   let depth = gating_depth nl in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
@@ -428,7 +423,7 @@ let check_k3 nl =
 (* K4: combinational cycles, by DFS over driver/fanout — no evaluation.
    Registers and latches legitimately close feedback loops; gates,
    buffers and muxes must not. *)
-let check_k4 nl =
+let check_k4 { nl; _ } =
   let n = Netlist.n_insts nl in
   let color = Array.make n 0 in
   (* 0 unvisited, 1 on stack, 2 done *)
@@ -470,7 +465,7 @@ let check_k4 nl =
   List.rev !acc
 
 (* K5: assertion spellings and polarities are consistent. *)
-let check_k5 nl =
+let check_k5 { nl; _ } =
   let acc = ref [] in
   (* (a) one spelling per signal: the assertion is part of the net key
      (2.5.1), so conflicting spellings silently split one signal into
@@ -522,7 +517,7 @@ let check_k5 nl =
 
 (* K6: dead logic — a driven net that feeds nothing is either wasted
    hardware or a missing checker connection. *)
-let check_k6 nl =
+let check_k6 { nl; _ } =
   let acc = ref [] in
   Netlist.iter_nets nl (fun n ->
       if n.Netlist.n_driver <> None && Netlist.fanout_count n = 0 then
@@ -539,8 +534,8 @@ let check_k6 nl =
    whether a runt pulse escapes depends only on the delay race.  The
    inferred domain is the evidence: Flow tagged the data input with the
    same domain root the clock-class input carries. *)
-let check_k7 nl =
-  let flow = flow_for nl in
+let check_k7 { nl; flow; _ } =
+  let flow = Lazy.force flow in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if is_gating i.Netlist.i_prim then begin
@@ -587,24 +582,12 @@ let check_k7 nl =
 
 (* ---- W rules: static arrival-window analysis (doc/WINDOWS.md) ------------- *)
 
-(* One window analysis per netlist, memoized like [flow_for]: the driver
-   runs each W rule over the same netlist value. *)
-let window_cache : (Netlist.t * Window.t) option ref = ref None
-
-let window_for nl =
-  match !window_cache with
-  | Some (nl', w) when nl' == nl -> w
-  | _ ->
-    let w = Window.analyse nl in
-    window_cache := Some (nl, w);
-    w
-
 (* W1: a stable assertion the computed windows already satisfy — the
    check can never fire, so the constraint documents nothing the
    structure does not prove.  Informational: harmless, but worth knowing
    when auditing what the assertion set actually pins down. *)
-let check_w1 nl =
-  let w = window_for nl in
+let check_w1 { nl; window; _ } =
+  let w = Lazy.force window in
   let acc = ref [] in
   Netlist.iter_nets nl (fun n ->
       if Window.net_proven w n.Netlist.n_id then
@@ -619,8 +602,8 @@ let check_w1 nl =
    provably always-satisfied.  Gated on every input cone actually being
    constrained by an assertion, so a proof resting only on the §2.5
    stable assumption (which W4 questions) does not also fire here. *)
-let check_w2 nl =
-  let w = window_for nl in
+let check_w2 { nl; window; _ } =
+  let w = Lazy.force window in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if
@@ -640,8 +623,8 @@ let check_w2 nl =
    check fails at every corner.  The violation is guaranteed before any
    evaluation; reported as an error so a lint-only pass already catches
    it. *)
-let check_w3 nl =
-  let w = window_for nl in
+let check_w3 { nl; window; _ } =
+  let w = Lazy.force window in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if Window.inst_guaranteed w i.Netlist.i_id then
@@ -656,8 +639,8 @@ let check_w3 nl =
    anywhere in its cone (only the §2.5 stable assumption), or an
    unbounded (feedback-widened) window.  Either way the checker's
    verdict hangs on defaults rather than stated constraints. *)
-let check_w4 nl =
-  let w = window_for nl in
+let check_w4 { nl; window; _ } =
+  let w = Lazy.force window in
   let seen = Array.make (max 1 (Netlist.n_nets nl)) false in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
@@ -688,8 +671,8 @@ let check_w4 nl =
 (* W5: a declared stable interval the computed windows contradict — every
    possible transition of the net lands inside an asserted-stable span,
    so whenever the signal moves at all, the assertion is violated. *)
-let check_w5 nl =
-  let w = window_for nl in
+let check_w5 { nl; window; _ } =
+  let w = Lazy.force window in
   let acc = ref [] in
   Netlist.iter_nets nl (fun n ->
       if Window.net_contradicted w n.Netlist.n_id then

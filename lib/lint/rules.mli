@@ -42,12 +42,25 @@
     - [K6] no dead logic: every driven net feeds a primitive or a
       checker. *)
 
+type ctx = {
+  nl : Scald_core.Netlist.t;
+  flow : Scald_core.Flow.t Lazy.t;
+  window : Scald_core.Window.t Lazy.t;
+}
+(** What a rule audits: the netlist and the two static analyses the
+    cone rules (C1/C4/C6/C7/K7) and the W rules read. *)
+
+val context : Scald_core.Netlist.t -> ctx
+(** A fresh context: each analysis runs on first use only, over the
+    netlist as it is then.  Build one per audit, so an audit after an
+    in-place edit never sees a stale analysis. *)
+
 type rule = {
   id : string;  (** ["C1"]..""["K6"] *)
   title : string;
   section : string;  (** thesis cross-reference, e.g. ["2.5.1"] *)
   severity : Lint_report.severity;  (** severity of the primary finding *)
-  check : Scald_core.Netlist.t -> Lint_report.finding list;
+  check : ctx -> Lint_report.finding list;
 }
 
 val all : rule list

@@ -20,7 +20,7 @@
       that keeps one primitive per data path.
 
     The design is emitted as SCALD HDL text, so scaling benchmarks
-    exercise the whole pipeline: parse, macro expansion (both passes)
+    exercise the whole pipeline: parse, macro expansion
     and verification. *)
 
 module Rng = Rng

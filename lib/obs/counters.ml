@@ -7,7 +7,7 @@ type metrics = {
   m_phases : (string * float) list;
 }
 
-let schema_version = "scald-metrics/5"
+let schema_version = "scald-metrics/6"
 
 (* A duplicate key — a caller's [extra] colliding with a built-in, or
    with itself — would serialize as two identical JSON fields: valid
@@ -35,13 +35,7 @@ let of_report ?(phases = []) ?(extra = []) (r : Verifier.report) =
         ("max_scc_size", r.Verifier.r_obs.Verifier.os_max_scc_size);
         ("cache_hits", r.Verifier.r_obs.Verifier.os_cache_hits);
         ("cache_misses", r.Verifier.r_obs.Verifier.os_cache_misses);
-        ("pruned_insts", r.Verifier.r_obs.Verifier.os_pruned_insts);
         ("pruned_evals", r.Verifier.r_obs.Verifier.os_pruned_evals);
-        ("nets_const", r.Verifier.r_obs.Verifier.os_nets_const);
-        ("nets_stable", r.Verifier.r_obs.Verifier.os_nets_stable);
-        ("nets_clock", r.Verifier.r_obs.Verifier.os_nets_clock);
-        ("nets_data", r.Verifier.r_obs.Verifier.os_nets_data);
-        ("nets_unknown", r.Verifier.r_obs.Verifier.os_nets_unknown);
         ("cases", List.length r.Verifier.r_cases);
         ( "cases_diverged",
           List.length

@@ -159,26 +159,35 @@ let apply_corners settings nl =
   | None -> ()
   | Some entries -> Netlist.set_corners nl (corner_table_of entries)
 
-let collect_settings design =
-  let s =
-    { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
-      wire_rule = None; corners = None; macros = Hashtbl.create 16 }
+let new_settings () =
+  { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
+    wire_rule = None; corners = None; macros = Hashtbl.create 16 }
+
+(* The settings that shape the netlist at its creation. *)
+let timing_settings s = (s.period_ns, s.clock_unit_ns, s.default_wire)
+
+(* Record a setting or macro definition; other statements are the walk's. *)
+let record_setting s stmt =
+  match stmt with
+  | Ast.Period p -> s.period_ns <- Some p
+  | Ast.Clock_unit u -> s.clock_unit_ns <- Some u
+  | Ast.Default_wire (a, b) -> s.default_wire <- (a, b)
+  | Ast.Wire_rule (base, per_load) -> s.wire_rule <- Some (base, per_load)
+  | Ast.Corners cs -> s.corners <- Some cs
+  | Ast.Macro m ->
+    if Hashtbl.mem s.macros m.Ast.m_name then
+      fail "line %d: macro %S defined twice" m.Ast.m_line m.Ast.m_name;
+    Hashtbl.add s.macros m.Ast.m_name m
+  | Ast.Wire_delay _ | Ast.Width_decl _ | Ast.Top_instance _ -> ()
+
+let netlist_of_settings ?defaults s =
+  let period_ns =
+    match s.period_ns with Some p -> p | None -> fail "design has no PERIOD statement"
   in
-  List.iter
-    (fun stmt ->
-      match stmt with
-      | Ast.Period p -> s.period_ns <- Some p
-      | Ast.Clock_unit u -> s.clock_unit_ns <- Some u
-      | Ast.Default_wire (a, b) -> s.default_wire <- (a, b)
-      | Ast.Wire_rule (base, per_load) -> s.wire_rule <- Some (base, per_load)
-      | Ast.Corners cs -> s.corners <- Some cs
-      | Ast.Macro m ->
-        if Hashtbl.mem s.macros m.Ast.m_name then
-          fail "line %d: macro %S defined twice" m.Ast.m_line m.Ast.m_name;
-        Hashtbl.add s.macros m.Ast.m_name m
-      | Ast.Wire_delay _ | Ast.Width_decl _ | Ast.Top_instance _ -> ())
-    design;
-  s
+  let clock_unit_ns = match s.clock_unit_ns with Some u -> u | None -> period_ns /. 8. in
+  let tb = Timebase.make ~period_ns ~clock_unit_ns in
+  let wmin, wmax = s.default_wire in
+  Netlist.create tb ?defaults ~default_wire_delay:(Delay.of_ns wmin wmax)
 
 (* ---- resolved signal references ------------------------------------------------ *)
 
@@ -315,59 +324,64 @@ let classify_head settings line head props =
     | Some m -> Macro_call m
     | None -> fail "line %d: unknown primitive or macro %S" line head)
 
-(* ---- pass 1: summary and synonym resolution ------------------------------------------ *)
+(* ---- the walk ---------------------------------------------------------------------------- *)
 
-(* Union-find over signal names. *)
-module Synonyms = struct
-  type t = (string, string) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let rec find t name =
-    match Hashtbl.find_opt t name with
-    | None -> name
-    | Some parent ->
-      let root = find t parent in
-      if root <> parent then Hashtbl.replace t name root;
-      root
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then Hashtbl.replace t ra rb
-end
-
-type pass1 = {
-  mutable p1_macros : int;
-  mutable p1_primitives : int;
-  mutable p1_synonyms : int;
-  (* [None] in streaming mode: the distinct-signal count is read off the
-     netlist instead, and the synonym structure (whose path-qualified
-     keys dominate the walker's live allocation) reduces to the counter
-     above. *)
-  p1_signals : (string, unit) Hashtbl.t option;
-  p1_syn : Synonyms.t option;
+(* One expansion in progress: every resolved primitive goes straight into
+   the netlist, and the summary is counted on the way.  The distinct-signal
+   count needs no table of its own: every primitive argument and output
+   becomes a net, and nothing else does until the deferred declarations
+   run, so it is the net count at that point. *)
+type walk = {
+  w_settings : settings;
+  w_nl : Netlist.t Lazy.t;
+  mutable w_deferred : Ast.top_stmt list;  (* WIRE DELAY / WIDTH, newest first *)
+  mutable w_macros : int;
+  mutable w_primitives : int;
+  mutable w_synonyms : int;
 }
+
+let new_walk settings nl =
+  { w_settings = settings; w_nl = nl; w_deferred = []; w_macros = 0; w_primitives = 0;
+    w_synonyms = 0 }
 
 let max_depth = 64
 
-(* Walk the hierarchy once; [emit] is called for every fully resolved
-   primitive instance.  Shared by both passes. *)
-let rec walk_instance settings frame depth stats emit (inst : Ast.instance) =
+let conn_of_binding nl b =
+  let directive =
+    match b.b_directive with
+    | None -> []
+    | Some d -> Directive.of_string_exn d
+  in
+  let id = Netlist.signal nl b.b_name in
+  if b.b_local then Netlist.set_wire_delay nl id Delay.zero;
+  Netlist.conn ~invert:b.b_complement ~directive id
+
+let emit w line head prim args outs =
+  let nl = Lazy.force w.w_nl in
+  let inputs = List.map (conn_of_binding nl) args in
+  let output =
+    match outs with
+    | [] -> None
+    | [ o ] ->
+      if o.b_complement then fail "line %d: complemented output is not supported" line
+      else Some (Netlist.signal nl o.b_name)
+    | _ -> fail "line %d: primitives have at most one output" line
+  in
+  ignore (Netlist.add nl ~name:(Printf.sprintf "%s.%d" head line) prim ~inputs ~output)
+
+let rec walk_instance w frame depth (inst : Ast.instance) =
   if depth > max_depth then
     fail "line %d: macro expansion deeper than %d (recursive macro?)" inst.Ast.i_line
       max_depth;
   let line = inst.Ast.i_line in
   let args = List.map (resolve_sigref frame line) inst.Ast.i_args in
   let outs = List.map (resolve_sigref frame line) inst.Ast.i_outs in
-  match classify_head settings line inst.Ast.i_head inst.Ast.i_props with
+  match classify_head w.w_settings line inst.Ast.i_head inst.Ast.i_props with
   | P prim ->
-    stats.p1_primitives <- stats.p1_primitives + 1;
-    (match stats.p1_signals with
-    | None -> ()
-    | Some tbl -> List.iter (fun b -> Hashtbl.replace tbl b.b_name ()) (args @ outs));
-    emit line inst.Ast.i_head prim args outs
+    w.w_primitives <- w.w_primitives + 1;
+    emit w line inst.Ast.i_head prim args outs
   | Macro_call m ->
-    stats.p1_macros <- stats.p1_macros + 1;
+    w.w_macros <- w.w_macros + 1;
     let env =
       List.filter_map
         (fun (p : Ast.prop) ->
@@ -380,20 +394,12 @@ let rec walk_instance settings frame depth stats emit (inst : Ast.instance) =
     if List.length actuals <> List.length m.Ast.m_params then
       fail "line %d: macro %S expects %d connections, got %d" line m.Ast.m_name
         (List.length m.Ast.m_params) (List.length actuals);
+    (* each formal/actual pair is a synonym: two names for one net *)
     let bindings =
       List.map2
         (fun (formal : Ast.sigref) actual ->
-          let fname = substitute_subscripts env m.Ast.m_line formal.Ast.name in
-          let base = param_base fname in
-          (* Record the synonym between the formal (path-qualified) and
-             the actual signal name. *)
-          (match stats.p1_syn with
-          | None -> ()
-          | Some syn ->
-            let qualified = frame.f_path ^ "$" ^ m.Ast.m_name ^ "$" ^ fname in
-            Synonyms.union syn qualified actual.b_name);
-          stats.p1_synonyms <- stats.p1_synonyms + 1;
-          (base, actual))
+          w.w_synonyms <- w.w_synonyms + 1;
+          (param_base (substitute_subscripts env m.Ast.m_line formal.Ast.name), actual))
         m.Ast.m_params actuals
     in
     let frame' =
@@ -403,268 +409,109 @@ let rec walk_instance settings frame depth stats emit (inst : Ast.instance) =
         f_path = Printf.sprintf "%s$%s.%d" frame.f_path m.Ast.m_name line;
       }
     in
-    List.iter (walk_instance settings frame' (depth + 1) stats emit) m.Ast.m_body
+    List.iter (walk_instance w frame' (depth + 1)) m.Ast.m_body
 
-(* ---- pass 2: netlist construction ------------------------------------------------------- *)
+(* A top-level statement, after {!record_setting} has seen it. *)
+let walk_statement w stmt =
+  match stmt with
+  | Ast.Wire_delay _ | Ast.Width_decl _ -> w.w_deferred <- stmt :: w.w_deferred
+  | Ast.Top_instance i -> walk_instance w top_frame 0 i
+  | Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _ | Ast.Wire_rule _
+  | Ast.Corners _ | Ast.Macro _ ->
+    ()
 
-let conn_of_binding nl b =
-  let directive =
-    match b.b_directive with
-    | None -> []
-    | Some d -> Directive.of_string_exn d
-  in
-  let id = Netlist.signal nl b.b_name in
-  if b.b_local then Netlist.set_wire_delay nl id Delay.zero;
-  Netlist.conn ~invert:b.b_complement ~directive id
+(* Apply the deferred declarations in textual order, then the refined
+   interconnection rule, which fills every remaining net from its fanout
+   count (explicit WIRE DELAYs, /M locals and de-skewed clock runs keep
+   their settings), then the corner table. *)
+let finish w ~scan_s ~t0 ~streamed =
+  let nl = Lazy.force w.w_nl in
+  let n_signals = Netlist.n_nets nl in
+  List.iter
+    (fun stmt ->
+      match stmt with
+      | Ast.Wire_delay (s, (a, b)) ->
+        Netlist.set_wire_delay nl (Netlist.signal nl s.Ast.name) (Delay.of_ns a b)
+      | Ast.Width_decl (s, wd) -> Netlist.set_width nl (Netlist.signal nl s.Ast.name) wd
+      | _ -> ())
+    (List.rev w.w_deferred);
+  (match w.w_settings.wire_rule with
+  | None -> ()
+  | Some ((b1, b2), (p1, p2)) ->
+    ignore
+      (Wire_rule.apply nl
+         (Wire_rule.loaded ~base:(Delay.of_ns b1 b2) ~per_load:(Delay.of_ns p1 p2))));
+  apply_corners w.w_settings nl;
+  Netlist.trim nl;
+  {
+    e_netlist = nl;
+    e_pass1_s = scan_s;
+    e_pass2_s = Sys.time () -. t0;
+    e_streamed = streamed;
+    e_summary =
+      {
+        s_macros_expanded = w.w_macros;
+        s_primitives = w.w_primitives;
+        s_signals = n_signals;
+        s_synonyms = w.w_synonyms;
+      };
+  }
+
+let guard f =
+  try f () with Expand_error msg | Invalid_argument msg -> Error msg
 
 let expand ?defaults design =
-  try
-    let settings = collect_settings design in
-    let period_ns =
-      match settings.period_ns with
-      | Some p -> p
-      | None -> fail "design has no PERIOD statement"
-    in
-    let clock_unit_ns =
-      match settings.clock_unit_ns with Some u -> u | None -> period_ns /. 8.
-    in
-    let tb = Timebase.make ~period_ns ~clock_unit_ns in
-    let wmin, wmax = settings.default_wire in
-    let run_pass emit =
-      let stats =
-        {
-          p1_macros = 0;
-          p1_primitives = 0;
-          p1_synonyms = 0;
-          p1_signals = Some (Hashtbl.create 64);
-          p1_syn = Some (Synonyms.create ());
-        }
-      in
-      List.iter
-        (fun stmt ->
-          match stmt with
-          | Ast.Top_instance i -> walk_instance settings top_frame 0 stats emit i
-          | Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _ | Ast.Wire_rule _
-          | Ast.Wire_delay _ | Ast.Width_decl _ | Ast.Corners _ | Ast.Macro _ ->
-            ())
-        design;
-      stats
-    in
-    (* Pass 1: summary listing and synonym structure only. *)
-    let t0 = Sys.time () in
-    let stats1 = run_pass (fun _ _ _ _ _ -> ()) in
-    let pass1_s = Sys.time () -. t0 in
-    (* Pass 2: output the fully expanded design. *)
-    let nl =
-      Netlist.create tb ?defaults ~default_wire_delay:(Delay.of_ns wmin wmax)
-    in
-    let emit line head prim args outs =
-      let inputs = List.map (conn_of_binding nl) args in
-      let output =
-        match outs with
-        | [] -> None
-        | [ o ] ->
-          if o.b_complement then
-            fail "line %d: complemented output is not supported" line
-          else Some (Netlist.signal nl o.b_name)
-        | _ -> fail "line %d: primitives have at most one output" line
-      in
-      ignore
-        (Netlist.add nl ~name:(Printf.sprintf "%s.%d" head line) prim ~inputs ~output)
-    in
-    let t0 = Sys.time () in
-    let _stats2 = run_pass emit in
-    let pass2_s = Sys.time () -. t0 in
-    (* Apply wire-delay and width declarations to the built netlist. *)
-    List.iter
-      (fun stmt ->
-        match stmt with
-        | Ast.Wire_delay (s, (a, b)) ->
-          let id = Netlist.signal nl s.Ast.name in
-          Netlist.set_wire_delay nl id (Delay.of_ns a b)
-        | Ast.Width_decl (s, w) ->
-          let id = Netlist.signal nl s.Ast.name in
-          Netlist.set_width nl id w
-        | Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _ | Ast.Wire_rule _
-        | Ast.Corners _ | Ast.Macro _ | Ast.Top_instance _ ->
-          ())
-      design;
-    (* The refined interconnection rule fills every remaining net from
-       its fanout count (explicit WIRE DELAYs, /M locals and de-skewed
-       clock runs keep their settings). *)
-    (match settings.wire_rule with
-    | None -> ()
-    | Some ((b1, b2), (p1, p2)) ->
-      ignore
-        (Wire_rule.apply nl
-           (Wire_rule.loaded ~base:(Delay.of_ns b1 b2) ~per_load:(Delay.of_ns p1 p2))));
-    apply_corners settings nl;
-    Netlist.trim nl;
-    Ok
-      {
-        e_netlist = nl;
-        e_pass1_s = pass1_s;
-        e_pass2_s = pass2_s;
-        e_streamed = false;
-        e_summary =
-          {
-            s_macros_expanded = stats1.p1_macros;
-            s_primitives = stats1.p1_primitives;
-            s_signals =
-              (match stats1.p1_signals with Some tbl -> Hashtbl.length tbl | None -> 0);
-            s_synonyms = stats1.p1_synonyms;
-          };
-      }
-  with
-  | Expand_error msg -> Error msg
-  | Invalid_argument msg -> Error msg
+  guard (fun () ->
+      let t0 = Sys.time () in
+      let settings = new_settings () in
+      List.iter (record_setting settings) design;
+      let w = new_walk settings (Lazy.from_val (netlist_of_settings ?defaults settings)) in
+      let t1 = Sys.time () in
+      List.iter (walk_statement w) design;
+      Ok (finish w ~scan_s:(t1 -. t0) ~t0:t1 ~streamed:false))
 
 let expand_exn ?defaults design =
   match expand ?defaults design with
   | Ok e -> e
   | Error msg -> invalid_arg ("Sdl expand: " ^ msg)
 
-(* ---- streaming expansion ------------------------------------------------------------------ *)
+(* The same walk over the statement stream, with no design AST ever
+   materialized, so peak RSS tracks the expanded design rather than the
+   source's token sequence or macro tree.  Settings are recorded as they
+   arrive, so matching {!expand} needs care on ordering:
 
-(* Single pass over the statement stream: statistics and netlist output
-   are produced together, and no design AST is ever materialized, so
-   peak RSS tracks the expanded design rather than the source's token
-   sequence or macro tree.
-
-   Equivalence with the two-pass [expand] requires care on ordering:
-
-   - The netlist is created lazily at the first top-level instance; a
-     PERIOD statement must precede it.  If any timing setting (PERIOD,
-     CLOCK UNIT, DEFAULT WIRE DELAY) changes *after* that point the
-     materialized path would have used the later value, so we bail out
-     with [Error] and let {!load} fall back.
+   - The netlist is created at the first top-level instance; a PERIOD
+     statement must precede it.  If any timing setting (PERIOD, CLOCK
+     UNIT, DEFAULT WIRE DELAY) changes *after* that point, {!expand}
+     would have used the later value, so we bail out with [Error] and
+     let {!load} fall back.
    - Macros must be defined before use; a forward reference fails with
      the usual "unknown primitive or macro" error, and {!load} falls
-     back to the materialized path, which accepts it.
-   - WIRE DELAY and WIDTH declarations are deferred and applied after
-     the stream in textual order — exactly where the two-pass expander
-     applies them — so net-id assignment and final delays are
-     bit-identical. *)
+     back to {!expand}, which accepts it. *)
 let expand_stream ?defaults src =
-  try
-    let settings =
-      { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
-        wire_rule = None; corners = None; macros = Hashtbl.create 16 }
-    in
-    let stats =
-      (* No signal table or synonym structure: the distinct-signal
-         count equals the net count of the netlist being built (every
-         primitive arg/out becomes a net, and nothing else does until
-         the deferred declarations run). *)
-      { p1_macros = 0; p1_primitives = 0; p1_synonyms = 0;
-        p1_signals = None; p1_syn = None }
-    in
-    let nl_ref = ref None in
-    let snapshot = ref None in
-    let deferred = ref [] in
-    let t0 = Sys.time () in
-    let ensure_nl () =
-      match !nl_ref with
-      | Some nl -> nl
-      | None ->
-        let period_ns =
-          match settings.period_ns with
-          | Some p -> p
-          | None -> fail "design has no PERIOD statement before the first instance"
-        in
-        let clock_unit_ns =
-          match settings.clock_unit_ns with Some u -> u | None -> period_ns /. 8.
-        in
-        let tb = Timebase.make ~period_ns ~clock_unit_ns in
-        let wmin, wmax = settings.default_wire in
-        let nl =
-          Netlist.create tb ?defaults ~default_wire_delay:(Delay.of_ns wmin wmax)
-        in
-        nl_ref := Some nl;
-        snapshot := Some (settings.period_ns, settings.clock_unit_ns, settings.default_wire);
-        nl
-    in
-    let emit line head prim args outs =
-      let nl = ensure_nl () in
-      let inputs = List.map (conn_of_binding nl) args in
-      let output =
-        match outs with
-        | [] -> None
-        | [ o ] ->
-          if o.b_complement then
-            fail "line %d: complemented output is not supported" line
-          else Some (Netlist.signal nl o.b_name)
-        | _ -> fail "line %d: primitives have at most one output" line
+  guard (fun () ->
+      let t0 = Sys.time () in
+      let settings = new_settings () in
+      let built_with = ref None in
+      let nl =
+        lazy
+          (if settings.period_ns = None then
+             fail "design has no PERIOD statement before the first instance";
+           built_with := Some (timing_settings settings);
+           netlist_of_settings ?defaults settings)
       in
-      ignore
-        (Netlist.add nl ~name:(Printf.sprintf "%s.%d" head line) prim ~inputs ~output)
-    in
-    let stream_result =
-      Parser.iter_stream src (fun stmt ->
-          match stmt with
-          | Ast.Period p -> settings.period_ns <- Some p
-          | Ast.Clock_unit u -> settings.clock_unit_ns <- Some u
-          | Ast.Default_wire (a, b) -> settings.default_wire <- (a, b)
-          | Ast.Wire_rule (base, per_load) -> settings.wire_rule <- Some (base, per_load)
-          (* corners never affect expansion (no snapshot guard needed):
-             the table is installed once, after the stream *)
-          | Ast.Corners cs -> settings.corners <- Some cs
-          | Ast.Macro m ->
-            if Hashtbl.mem settings.macros m.Ast.m_name then
-              fail "line %d: macro %S defined twice" m.Ast.m_line m.Ast.m_name;
-            Hashtbl.add settings.macros m.Ast.m_name m
-          | Ast.Wire_delay _ | Ast.Width_decl _ -> deferred := stmt :: !deferred
-          | Ast.Top_instance i -> walk_instance settings top_frame 0 stats emit i)
-    in
-    match stream_result with
-    | Error e -> Error e
-    | Ok () -> (
-      match !snapshot with
-      | Some (p, cu, dw)
-        when p <> settings.period_ns || cu <> settings.clock_unit_ns
-             || dw <> settings.default_wire ->
-        (* A late setting would have applied retroactively under the
-           two-pass expander; defer to it. *)
-        Error "timing settings changed after the first instance"
-      | _ ->
-        let nl = ensure_nl () in
-        let n_signals = Netlist.n_nets nl in
-        List.iter
-          (fun stmt ->
-            match stmt with
-            | Ast.Wire_delay (s, (a, b)) ->
-              let id = Netlist.signal nl s.Ast.name in
-              Netlist.set_wire_delay nl id (Delay.of_ns a b)
-            | Ast.Width_decl (s, w) ->
-              let id = Netlist.signal nl s.Ast.name in
-              Netlist.set_width nl id w
-            | _ -> ())
-          (List.rev !deferred);
-        (match settings.wire_rule with
-        | None -> ()
-        | Some ((b1, b2), (p1, p2)) ->
-          ignore
-            (Wire_rule.apply nl
-               (Wire_rule.loaded ~base:(Delay.of_ns b1 b2) ~per_load:(Delay.of_ns p1 p2))));
-        apply_corners settings nl;
-        Netlist.trim nl;
-        Ok
-          {
-            e_netlist = nl;
-            e_pass1_s = 0.;
-            e_pass2_s = Sys.time () -. t0;
-            e_streamed = true;
-            e_summary =
-              {
-                s_macros_expanded = stats.p1_macros;
-                s_primitives = stats.p1_primitives;
-                s_signals = n_signals;
-                s_synonyms = stats.p1_synonyms;
-              };
-          })
-  with
-  | Expand_error msg -> Error msg
-  | Invalid_argument msg -> Error msg
+      let w = new_walk settings nl in
+      match
+        Parser.iter_stream src (fun stmt ->
+            record_setting settings stmt;
+            walk_statement w stmt)
+      with
+      | Error e -> Error e
+      | Ok () -> (
+        match !built_with with
+        | Some b when b <> timing_settings settings ->
+          Error "timing settings changed after the first instance"
+        | _ -> Ok (finish w ~scan_s:0. ~t0 ~streamed:true)))
 
 let load ?defaults src =
   match expand_stream ?defaults src with
@@ -672,8 +519,8 @@ let load ?defaults src =
   | Error _ ->
     (* The streaming pass is strictly stricter (macros before use,
        PERIOD before the first instance, no late setting changes), so
-       on any error re-run the permissive materialized path: behaviour
-       and error messages match the pre-streaming expander exactly. *)
+       on any error re-run the permissive AST path: behaviour and error
+       messages are {!expand}'s exactly. *)
     (match Parser.parse src with Error e -> Error e | Ok d -> expand ?defaults d)
 
 let pp_summary ppf s =

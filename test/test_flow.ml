@@ -1,12 +1,7 @@
 (* Signal-class dataflow analysis (doc/FLOW.md): class inference on
-   small designs, the case-net demotion, pruning soundness — identical
-   verdicts with pruning on vs off across both scheduling disciplines
-   and job counts — and Netlist.copy preserving the inferred classes. *)
+   small designs, and Netlist.copy preserving the inferred classes. *)
 
 open Scald_core
-
-let prop ?(count = 10) name gen f =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen f)
 
 let load src =
   match Scald_sdl.Expander.load src with
@@ -77,52 +72,16 @@ let test_data_and_stable_classes () =
   Alcotest.(check bool) "gate of stable inputs is stable" true
     (cls d "X" = Flow.Stable)
 
-let test_cyclic_not_pruned () =
+let test_cyclic_not_stable () =
   let d =
     flow_of
       "2 OR (DELAY=1.0/2.0) (LOOP, D .S0-4) -> LOOP;\n\
        SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (LOOP, CK .P2-3);\n"
   in
-  let nl, f = d in
-  (* the feedback component settles to a non-stable class and its
-     member instance must never be frozen *)
-  (match cls d "LOOP" with
+  (* the feedback component settles to a non-stable class *)
+  match cls d "LOOP" with
   | Flow.Const _ | Flow.Stable -> Alcotest.fail "cycle classified stable"
-  | Flow.Data _ | Flow.Unknown | Flow.Clock _ -> ());
-  let loop_driver =
-    match (Netlist.net nl (net_id nl "LOOP")).Netlist.n_driver with
-    | Some i -> i
-    | None -> Alcotest.fail "LOOP undriven"
-  in
-  Alcotest.(check bool) "cyclic instance not prunable" false
-    (Flow.prunable f loop_driver)
-
-let test_prunable_and_demotion () =
-  let src =
-    "1 CHG (DELAY=1.0/2.0) (EN .S0-8) -> X;\n\
-     SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (X, CK .P2-3);\n"
-  in
-  let nl = load (preamble ^ src) in
-  let f = Flow.analyse nl in
-  let chg =
-    match (Netlist.net nl (net_id nl "X")).Netlist.n_driver with
-    | Some i -> i
-    | None -> Alcotest.fail "X undriven"
-  in
-  Alcotest.(check bool) "stable-cone gate prunable" true (Flow.prunable f chg);
-  (* checkers are always prunable: their evaluation computes nothing *)
-  Netlist.iter_insts nl (fun i ->
-      if not (Primitive.has_output i.Netlist.i_prim) then
-        Alcotest.(check bool) "checker prunable" true
-          (Flow.prunable f i.Netlist.i_id));
-  (* a case mapping on EN un-freezes its entire cone *)
-  let f' = Flow.analyse ~case_nets:[ net_id nl "EN .S0-8" ] nl in
-  Alcotest.(check bool) "case-mapped net demoted" true
-    (Flow.cls f' (net_id nl "EN .S0-8") = Flow.Data []);
-  Alcotest.(check bool) "its consumer no longer prunable" false
-    (Flow.prunable f' chg);
-  Alcotest.(check bool) "fewer instances prunable under the demotion" true
-    (Flow.n_prunable f' < Flow.n_prunable f)
+  | Flow.Data _ | Flow.Unknown | Flow.Clock _ -> ()
 
 let test_copy_preserves_classes () =
   let nl =
@@ -134,95 +93,13 @@ let test_copy_preserves_classes () =
   Netlist.iter_nets nl (fun n ->
       let id = n.Netlist.n_id in
       if Flow.cls f id <> Flow.cls f2 id then
-        Alcotest.failf "class of %s differs on the copy" n.Netlist.n_name);
-  Alcotest.(check int) "same prunable count" (Flow.n_prunable f)
-    (Flow.n_prunable f2)
-
-(* ---- pruning soundness --------------------------------------------------------- *)
-
-(* Pruning must not change the verdict: violations, per-case events and
-   convergence flags are bit-identical with pruning on vs off; only the
-   work counters (evaluations, queue traffic) may differ. *)
-let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
-  let case_equal (x : Verifier.case_result) (y : Verifier.case_result) =
-    x.Verifier.cr_case = y.Verifier.cr_case
-    && x.Verifier.cr_violations = y.Verifier.cr_violations
-    && x.Verifier.cr_events = y.Verifier.cr_events
-    && x.Verifier.cr_converged = y.Verifier.cr_converged
-  in
-  a.Verifier.r_events = b.Verifier.r_events
-  && a.Verifier.r_violations = b.Verifier.r_violations
-  && a.Verifier.r_converged = b.Verifier.r_converged
-  && a.Verifier.r_unasserted = b.Verifier.r_unasserted
-  && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
-  && List.for_all2 case_equal a.Verifier.r_cases b.Verifier.r_cases
-
-let netgen_nl seed =
-  (Netgen.to_netlist (Netgen.generate (Netgen.scaled ~seed ~chips:120 ())))
-    .Scald_sdl.Expander.e_netlist
-
-let netgen_cases nl =
-  let inputs = ref [] in
-  Netlist.iter_nets nl (fun n ->
-      if List.length !inputs < 2
-         && String.length n.Netlist.n_name >= 3
-         && String.sub n.Netlist.n_name 0 3 = "IN "
-      then inputs := n.Netlist.n_name :: !inputs);
-  Case_analysis.complete_exn (List.rev !inputs)
-
-let test_prune_counters_surface () =
-  let nl = netgen_nl 1 in
-  let cases = netgen_cases nl in
-  (* window pruning off: this test isolates the flow-pruning counters
-     (window-frozen checkers would otherwise absorb the skipped enqueues
-     into os_window_evals — see test_window.ml) *)
-  let r = Verifier.verify ~cases ~window_prune:false nl in
-  Alcotest.(check bool) "instances were frozen" true
-    (r.Verifier.r_obs.Verifier.os_pruned_insts > 0);
-  Alcotest.(check bool) "evaluations were skipped" true
-    (r.Verifier.r_obs.Verifier.os_pruned_evals > 0);
-  let total_nets =
-    r.Verifier.r_obs.Verifier.os_nets_const
-    + r.Verifier.r_obs.Verifier.os_nets_stable
-    + r.Verifier.r_obs.Verifier.os_nets_clock
-    + r.Verifier.r_obs.Verifier.os_nets_data
-    + r.Verifier.r_obs.Verifier.os_nets_unknown
-  in
-  Alcotest.(check int) "every net classified" (Netlist.n_nets nl) total_nets;
-  let off = Verifier.verify ~cases ~prune:false ~window_prune:false nl in
-  Alcotest.(check int) "prune:false freezes nothing" 0
-    (off.Verifier.r_obs.Verifier.os_pruned_insts
-    + off.Verifier.r_obs.Verifier.os_pruned_evals);
-  Alcotest.(check bool) "pruning skips real work" true
-    (r.Verifier.r_evaluations < off.Verifier.r_evaluations)
-
-let properties =
-  [
-    prop "pruning preserves verdicts across sched x jobs"
-      QCheck.(int_range 1 1000)
-      (fun seed ->
-        let nl = netgen_nl seed in
-        let cases = netgen_cases nl in
-        List.for_all
-          (fun sched ->
-            let off = Verifier.verify ~cases ~sched ~prune:false nl in
-            List.for_all
-              (fun jobs ->
-                verdicts_equal off (Verifier.verify ~cases ~sched ~jobs nl))
-              [ 1; 4 ])
-          [ Eval.Level; Eval.Fifo ]);
-  ]
+        Alcotest.failf "class of %s differs on the copy" n.Netlist.n_name)
 
 let suite =
   [
     Alcotest.test_case "clock classes and gating" `Quick test_clock_classes;
     Alcotest.test_case "data and stable classes" `Quick test_data_and_stable_classes;
-    Alcotest.test_case "cycles never pruned" `Quick test_cyclic_not_pruned;
-    Alcotest.test_case "prunable set and case-net demotion" `Quick
-      test_prunable_and_demotion;
+    Alcotest.test_case "feedback cycle never stable" `Quick test_cyclic_not_stable;
     Alcotest.test_case "Netlist.copy preserves classes" `Quick
       test_copy_preserves_classes;
-    Alcotest.test_case "pruning counters surface in r_obs" `Quick
-      test_prune_counters_surface;
   ]
-  @ properties

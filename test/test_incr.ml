@@ -567,6 +567,28 @@ let test_serve_protocol () =
   Alcotest.(check (option bool)) "shutdown ok" (Some true) (jbool "ok" bye);
   Alcotest.(check bool) "loop ends" false cont
 
+let test_serve_delay_domain () =
+  (* a wire delay past Timebase.max_ps used to wrap and verify clean *)
+  let t = Serve.create () in
+  let load, _ =
+    serve_req t
+      (Json.to_string
+         (Json.Obj [ ("op", Json.Str "load"); ("source", Json.Str inline_source) ]))
+  in
+  Alcotest.(check (option bool)) "load ok" (Some true) (jbool "ok" load);
+  let huge, _ =
+    serve_req t
+      {| {"op":"delta","edits":[{"edit":"wire_delay","signal":"B","min_ns":0,"max_ns":1e300}]} |}
+  in
+  Alcotest.(check (option bool)) "1e300 ns rejected" (Some false) (jbool "ok" huge);
+  let large, _ =
+    serve_req t
+      {| {"op":"delta","edits":[{"edit":"wire_delay","signal":"B","min_ns":0,"max_ns":1e10}]} |}
+  in
+  Alcotest.(check (option bool)) "1e10 ns accepted" (Some true) (jbool "ok" large);
+  let v, _ = serve_req t {| {"op":"verify"} |} in
+  Alcotest.(check bool) "and violates" true (Option.get (jint "violations" v) > 0)
+
 let test_serve_matches_cli_listing () =
   (* the serve-mode listing file must be byte-identical to what the CLI
      prints for the equivalent cold design *)
@@ -858,6 +880,7 @@ let suite =
     Alcotest.test_case "session counters carry" `Quick test_session_counters_carry;
     Alcotest.test_case "store warm/adopt/cold" `Quick test_store_warm_adopt_cold;
     Alcotest.test_case "serve protocol" `Quick test_serve_protocol;
+    Alcotest.test_case "serve rejects out-of-range delays" `Quick test_serve_delay_domain;
     Alcotest.test_case "serve listing equals CLI" `Quick test_serve_matches_cli_listing;
     Alcotest.test_case "serve health" `Quick test_serve_health;
     Alcotest.test_case "serve deterministic quantiles" `Quick

@@ -172,6 +172,23 @@ let test_w2 () =
   (* proven only via the stable assumption on RAW: W4's business, not W2's *)
   check_passes "W2" "SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (D RAW, CK .P2-3);\n"
 
+let test_audit_after_inplace_edit () =
+  (* each audit analyses the netlist as it is: an in-place wire-delay
+     edit that breaks the proof must drop W2 on the next audit *)
+  let src = preamble ^ "SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (D .S0-4, CK .P2-3);\n" in
+  let slow nl =
+    Netlist.set_wire_delay nl (Option.get (Netlist.find nl "D .S0-4")) (Delay.of_ns 0.0 20.0)
+  in
+  let nl = load src in
+  Alcotest.(check bool) "W2 before the edit" true (fires "W2" (Lint.audit nl));
+  slow nl;
+  Alcotest.(check bool) "W2 gone after the in-place edit" false
+    (fires "W2" (Lint.audit nl));
+  let fresh = load src in
+  slow fresh;
+  Alcotest.(check bool) "as on a fresh netlist with the edit" false
+    (fires "W2" (Lint.audit fresh))
+
 let test_w3 () =
   (* the asserted data window straddles the clock pulse: always violated *)
   check_fires "W3" "SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (D .S2-3, CK .P2-3);\n";
@@ -373,6 +390,7 @@ let suite =
     Alcotest.test_case "K7 same-domain clock gating" `Quick test_k7;
     Alcotest.test_case "W1 vacuous stable assertions" `Quick test_w1;
     Alcotest.test_case "W2 provably satisfied checkers" `Quick test_w2;
+    Alcotest.test_case "audit sees in-place edits" `Quick test_audit_after_inplace_edit;
     Alcotest.test_case "W3 guaranteed violations" `Quick test_w3;
     Alcotest.test_case "W4 unbounded or unconstrained windows" `Quick test_w4;
     Alcotest.test_case "W5 window/assertion contradictions" `Quick test_w5;

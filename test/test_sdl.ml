@@ -227,6 +227,19 @@ let test_expand_errors () =
   fails "PERIOD 50.0;\n2 OR (A, B) -> Q;" (* missing DELAY *);
   fails "PERIOD 50.0;\nMACRO M;\nPARAMETER I /P, Q /P;\nBODY\nBUF (DELAY=1/1) (I /P) -> Q /P;\nEND;\nM (A) -> B -> C;"
 
+let test_expand_delay_domain () =
+  (* delay properties beyond Timebase.max_ps are rejected, not wrapped *)
+  let fails src =
+    match Expander.load src with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "expected %S to fail" src
+  in
+  fails "PERIOD 50.0;\n2 OR (DELAY=1.0/1e300) (A .S0-6, B .S0-6) -> Q;";
+  fails "PERIOD 50.0;\nSETUP HOLD CHK (SETUP=1e300, HOLD=1.0) (A .S0-6, CK .P0-4);";
+  fails "PERIOD 50.0;\nDEFAULT WIRE DELAY 0.0/1e300;\nBUF (DELAY=1.0/2.0) (A .S0-6) -> Q;";
+  (* as are corner factors that scale a delay past it *)
+  fails "PERIOD 50.0;\nCORNERS typ, huge = 1e30;\nBUF (DELAY=1.0/2.0) (A .S0-6) -> Q;"
+
 let test_expand_zero_one () =
   let e = expand_ok "PERIOD 50.0;\nZERO () -> GND;\nONE () -> VCC;" in
   let nl = e.Expander.e_netlist in
@@ -312,10 +325,12 @@ let test_s1_subset_clean () =
 (* ---- streaming expansion ----------------------------------------------------------- *)
 
 let test_stream_matches_materialized () =
-  (* the single-pass streaming expander must produce a netlist (and hence
-     a verification report) bit-identical to the two-pass materialized
-     expander on every design both accept *)
-  let check_src name src =
+  (* the streaming expander must produce a netlist (and hence a
+     verification report) bit-identical to the AST expander on every
+     design both accept, and both must count the summary the original
+     two-pass expander printed: (macros, primitives, signals, synonyms)
+     below are that expander's figures *)
+  let check_src name (macros, prims, signals, synonyms) src =
     let streamed =
       match Expander.expand_stream src with
       | Ok e -> e
@@ -338,15 +353,53 @@ let test_stream_matches_materialized () =
       m.Expander.s_macros_expanded s.Expander.s_macros_expanded;
     Alcotest.(check int) (name ^ ": primitives") m.Expander.s_primitives s.Expander.s_primitives;
     Alcotest.(check int) (name ^ ": signals") m.Expander.s_signals s.Expander.s_signals;
+    Alcotest.(check (list int)) (name ^ ": pinned summary")
+      [ macros; prims; signals; synonyms ]
+      [ m.Expander.s_macros_expanded; m.Expander.s_primitives; m.Expander.s_signals;
+        m.Expander.s_synonyms ];
+    Alcotest.(check int) (name ^ ": synonyms") m.Expander.s_synonyms s.Expander.s_synonyms;
     let snl = streamed.Expander.e_netlist and mnl = materialized.Expander.e_netlist in
     Alcotest.(check int) (name ^ ": n_insts") (Netlist.n_insts mnl) (Netlist.n_insts snl);
     Alcotest.(check int) (name ^ ": n_nets") (Netlist.n_nets mnl) (Netlist.n_nets snl);
     let render nl = Format.asprintf "%a" Verifier.pp (Verifier.verify nl) in
     Alcotest.(check string) (name ^ ": identical report") (render mnl) (render snl)
   in
-  check_src "register_file" (read_file "../examples/register_file.sdl");
-  check_src "s1_subset" (read_file "../examples/s1_subset.sdl");
-  check_src "netgen" (Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ())))
+  check_src "register_file" (2, 10, 12, 8) (read_file "../examples/register_file.sdl");
+  check_src "s1_subset" (24, 37, 37, 73) (read_file "../examples/s1_subset.sdl");
+  check_src "netgen" (375, 502, 409, 1147)
+    (Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ())))
+
+let test_load_fallback () =
+  (* designs the streaming pass rejects still load, through parse +
+     expand: a macro used before its definition, and a PERIOD after the
+     first instance, which applies to the whole design *)
+  let check_src name src period_ps =
+    let loaded = expand_ok src in
+    let expanded =
+      match Parser.parse src with
+      | Error e -> Alcotest.failf "%s: parse: %s" name e
+      | Ok d -> (
+        match Expander.expand d with
+        | Ok e -> e
+        | Error e -> Alcotest.failf "%s: expand: %s" name e)
+    in
+    Alcotest.(check bool) (name ^ ": not streamed") false loaded.Expander.e_streamed;
+    let lnl = loaded.Expander.e_netlist and enl = expanded.Expander.e_netlist in
+    Alcotest.(check int) (name ^ ": period") period_ps
+      (Timebase.period (Netlist.timebase lnl));
+    Alcotest.(check int) (name ^ ": n_insts") (Netlist.n_insts enl) (Netlist.n_insts lnl);
+    Alcotest.(check int) (name ^ ": n_nets") (Netlist.n_nets enl) (Netlist.n_nets lnl);
+    let render nl = Format.asprintf "%a" Verifier.pp (Verifier.verify nl) in
+    Alcotest.(check string) (name ^ ": identical report") (render enl) (render lnl)
+  in
+  check_src "forward macro"
+    "PERIOD 50.0;\nA (X .S0-6) -> Y;\n\
+     MACRO A;\nPARAMETER I /P, Q /P;\nBODY\nBUF (DELAY=1.0/2.0) (I /P) -> Q /P;\nEND;\n"
+    50_000;
+  check_src "late period"
+    "PERIOD 50.0;\nREG (DELAY=1.0/2.0) (D .S0-6, CK .P0-4) -> Q;\n\
+     SETUP HOLD CHK (SETUP=2.0, HOLD=1.0) (Q, CK .P0-4);\nPERIOD 40.0;\n"
+    40_000
 
 (* ---- xref ------------------------------------------------------------------------- *)
 
@@ -385,10 +438,12 @@ let suite =
     Alcotest.test_case "expand nested macros" `Quick test_expand_nested_macros;
     Alcotest.test_case "expand recursive rejected" `Quick test_expand_recursive_macro_rejected;
     Alcotest.test_case "expand errors" `Quick test_expand_errors;
+    Alcotest.test_case "expand rejects out-of-range delays" `Quick test_expand_delay_domain;
     Alcotest.test_case "expand zero/one" `Quick test_expand_zero_one;
     Alcotest.test_case "register_file.sdl matches API" `Quick test_register_file_sdl_matches_api;
     Alcotest.test_case "wire rule statement" `Quick test_wire_rule_statement;
     Alcotest.test_case "s1_subset.sdl clean" `Quick test_s1_subset_clean;
     Alcotest.test_case "stream matches materialized" `Quick test_stream_matches_materialized;
+    Alcotest.test_case "load falls back to parse + expand" `Quick test_load_fallback;
     Alcotest.test_case "xref" `Quick test_xref;
   ]
