@@ -463,28 +463,31 @@ let run_scc t sid =
     relax 0
 
 (* The constrained flag is a plain forward boolean closure; it is
-   recomputed globally (reset + topo passes to fixpoint) so that edits
-   which *remove* assertions lower it correctly. *)
-let compute_constrained t =
-  Netlist.iter_nets t.nl (fun n ->
-      let id = n.Netlist.n_id in
-      if not t.pinned.(id) then
-        t.constrained.(id) <- n.Netlist.n_assertion <> None);
+   recomputed over the components [within] selects (reset + topo passes
+   to fixpoint) so that edits which *remove* assertions lower it
+   correctly.  The selection must be closed under fanout, so nothing it
+   leaves out reads a net it resets. *)
+let compute_constrained t ~within =
+  let outputs f =
+    for sid = Sched.n_sccs t.sched - 1 downto 0 do
+      if within sid then
+        List.iter
+          (fun (i : Netlist.inst) ->
+            match i.Netlist.i_output with
+            | Some o when not t.pinned.(o) -> f i o
+            | _ -> ())
+          t.by_scc.(sid)
+    done
+  in
+  outputs (fun _ o ->
+      t.constrained.(o) <- (Netlist.net t.nl o).Netlist.n_assertion <> None);
   let rec pass () =
     let changed = ref false in
-    for sid = Sched.n_sccs t.sched - 1 downto 0 do
-      List.iter
-        (fun (i : Netlist.inst) ->
-          match i.Netlist.i_output with
-          | None -> ()
-          | Some o ->
-            if (not t.pinned.(o)) && not t.constrained.(o) then
-              if constr_out t i o then begin
-                t.constrained.(o) <- true;
-                changed := true
-              end)
-        t.by_scc.(sid)
-    done;
+    outputs (fun i o ->
+        if (not t.constrained.(o)) && constr_out t i o then begin
+          t.constrained.(o) <- true;
+          changed := true
+        end);
     if !changed then pass ()
   in
   pass ()
@@ -818,36 +821,66 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
   for sid = Sched.n_sccs sched - 1 downto 0 do
     run_scc t sid
   done;
-  compute_constrained t;
+  compute_constrained t ~within:(fun _ -> true);
   prove_all t ~only:None;
   compute_lanes t;
   t
 
-let update t ~dirty_nets =
+(* The components whose constrained flag an edit of [dirty_nets] can
+   move: the forward cone of those nets, their drivers included (a
+   driven net's flag is re-derived from its driver). *)
+let constrained_cone t dirty_nets =
   let n_nets = Netlist.n_nets t.nl in
-  let dirty = Array.make (max 1 n_nets) false in
+  let cone = Bytes.make (max 1 (Sched.n_sccs t.sched)) '\000' in
+  let seen = Bytes.make (max 1 n_nets) '\000' in
+  let todo = Stack.create () in
+  let visit id =
+    if Bytes.get seen id = '\000' then begin
+      Bytes.set seen id '\001';
+      Stack.push id todo
+    end
+  in
+  let enter inst =
+    Bytes.set cone (Sched.scc t.sched inst) '\001';
+    Option.iter visit (Netlist.inst t.nl inst).Netlist.i_output
+  in
   List.iter
     (fun id ->
       if id >= 0 && id < n_nets then begin
-        dirty.(id) <- true;
-        seed_net t (Netlist.net t.nl id)
+        visit id;
+        Option.iter enter (Netlist.net t.nl id).Netlist.n_driver
       end)
     dirty_nets;
+  while not (Stack.is_empty todo) do
+    Netlist.iter_fanout (Netlist.net t.nl (Stack.pop todo)) enter
+  done;
+  fun sid -> Bytes.get cone sid = '\001'
+
+let update t ~dirty_nets =
+  let n_nets = Netlist.n_nets t.nl in
+  let dirty = Array.make (max 1 n_nets) false in
   (* Sweep the forward cone only: a component is recomputed when one of
      its inputs (or its own output net — delay and directive edits) is
-     dirty, and marks its outputs dirty when anything moved. *)
+     dirty, and marks its outputs dirty when anything moved.  Components
+     are queued as their nets turn dirty, so the sweep visits the cone
+     without scanning the rest of the condensation. *)
+  let queued = Bytes.make (max 1 (Sched.n_sccs t.sched)) '\000' in
+  let queue id = Bytes.set queued (Sched.scc t.sched id) '\001' in
+  let mark_dirty (n : Netlist.net) =
+    dirty.(n.Netlist.n_id) <- true;
+    Netlist.iter_fanout n queue
+  in
+  List.iter
+    (fun id ->
+      if id >= 0 && id < n_nets then begin
+        let n = Netlist.net t.nl id in
+        mark_dirty n;
+        Option.iter queue n.Netlist.n_driver;
+        seed_net t n
+      end)
+    dirty_nets;
   for sid = Sched.n_sccs t.sched - 1 downto 0 do
-    let members = t.by_scc.(sid) in
-    let touched =
-      List.exists
-        (fun (i : Netlist.inst) ->
-          Array.exists
-            (fun (cn : Netlist.conn) -> dirty.(cn.Netlist.c_net))
-            i.Netlist.i_inputs
-          || match i.Netlist.i_output with Some o -> dirty.(o) | None -> false)
-        members
-    in
-    if touched then begin
+    if Bytes.get queued sid = '\001' then begin
       let before =
         List.filter_map
           (fun (i : Netlist.inst) ->
@@ -858,7 +891,7 @@ let update t ~dirty_nets =
                   Array.init t.k (fun c -> t.cwins.(c).(o)),
                   (t.unk.(o), t.kv.(o), t.estr.(o)) )
             | None -> None)
-          members
+          t.by_scc.(sid)
       in
       run_scc t sid;
       List.iter
@@ -866,11 +899,11 @@ let update t ~dirty_nets =
           if
             fl <> (t.unk.(o), t.kv.(o), t.estr.(o))
             || Array.exists (fun c -> ws.(c) <> t.cwins.(c).(o)) (Array.init t.k Fun.id)
-          then dirty.(o) <- true)
+          then mark_dirty (Netlist.net t.nl o))
         before
     end
   done;
-  compute_constrained t;
+  compute_constrained t ~within:(constrained_cone t dirty_nets);
   prove_all t ~only:(Some dirty);
   compute_lanes t;
   t

@@ -2,9 +2,13 @@ open Scald_core
 
 (* ---- canonical serialization --------------------------------------------- *)
 
-(* A netlist's identity for the session store is the canonical dump of
-   its structure and parameters, hashed.  Two digests are computed from
-   the same walk:
+(* A netlist's identity for the session store is a two-level hash of its
+   canonical encoding: one MD5 per net record and one per instance
+   record, kept side by side in a table, and one MD5 of the whole table
+   on top.  An edit changes a handful of records, so a session re-hashes
+   only those and the digest costs one MD5 over 16 bytes per record —
+   never a re-encoding of the netlist.  Two digests are computed with
+   the same encoders:
 
    - [digest]: everything — structure plus every editable parameter
      (wire delays, assertions, primitive parameters, connection
@@ -109,181 +113,82 @@ let add_prim ~params b (p : Primitive.t) =
     Buffer.add_char b 'C';
     if params then Buffer.add_char b (Tvalue.to_char v)
 
-let dump ~params nl =
-  let b = Buffer.create 4096 in
-  let tb = Netlist.timebase nl in
-  add_int b (Timebase.period tb);
-  add_int b (Timebase.clock_unit tb);
-  add_delay b (Netlist.default_wire_delay nl);
-  add_int b (Netlist.n_nets nl);
-  Netlist.iter_nets nl (fun n ->
-      add_str b n.n_name;
-      add_int b n.n_width;
-      if params then begin
-        add_opt add_assertion b n.n_assertion;
-        add_opt add_delay b n.n_wire_delay
-      end);
-  add_int b (Netlist.n_insts nl);
-  Netlist.iter_insts nl (fun i ->
-      add_str b i.i_name;
-      add_prim ~params b i.i_prim;
-      add_int b (Array.length i.i_inputs);
-      Array.iter
-        (fun (c : Netlist.conn) ->
-          add_int b c.c_net;
-          add_bool b c.c_invert;
-          if params then add_directive b c.c_directive)
-        i.i_inputs;
-      add_opt add_int b i.i_output);
-  (* The corner table is a replayable parameter (Edit.Corners), so it
-     belongs to [digest] but not to [skeleton]. *)
-  if params then add_str b (Corner.table_to_string (Netlist.corners nl));
-  Buffer.contents b
+(* One record per net and per instance.  Net ids are dense and
+   instance ids are dense, so a record's slot in the table is its id —
+   instances after the nets. *)
+let add_net ~params b (n : Netlist.net) =
+  add_str b n.n_name;
+  add_int b n.n_width;
+  if params then begin
+    add_opt add_assertion b n.n_assertion;
+    add_opt add_delay b n.n_wire_delay
+  end
 
-let digest nl = Digest.to_hex (Digest.string (dump ~params:true nl))
-let skeleton nl = Digest.to_hex (Digest.string (dump ~params:false nl))
-
-(* ---- per-net cone fingerprints ------------------------------------------- *)
-
-(* FNV-1a over 64 bits: cheap, order-sensitive, good enough dispersion
-   for "did this cone change" reporting (collisions only ever cost a
-   missed reuse opportunity in diagnostics, never a wrong verdict — the
-   dirty-cone computation itself is structural, not hash-based). *)
-
-let fnv_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let mix_int h i =
-  let rec go h k v = if k = 0 then h else go (mix_byte h (v land 0xff)) (k - 1) (v asr 8) in
-  go h 8 i
-
-let mix_i64 h (x : int64) =
-  let rec go h k v =
-    if k = 0 then h
-    else go (mix_byte h (Int64.to_int (Int64.logand v 0xffL))) (k - 1) (Int64.shift_right_logical v 8)
-  in
-  go h 8 x
-
-let mix_str h s =
-  let h = mix_int h (String.length s) in
-  let r = ref h in
-  String.iter (fun c -> r := mix_byte !r (Char.code c)) s;
-  !r
-
-let local_net_hash (n : Netlist.net) =
-  let h = mix_str fnv_basis n.n_name in
-  let h = mix_int h n.n_width in
-  let h =
-    match n.n_assertion with
-    | None -> mix_int h 0
-    | Some a -> mix_str (mix_int h 1) (Assertion.to_string a)
-  in
-  match n.n_wire_delay with
-  | None -> mix_int h 0
-  | Some d -> (
-    let h = mix_int (mix_int (mix_int h 1) d.dmin) d.dmax in
-    match d.rise_fall with
-    | None -> mix_int h 0
-    | Some ((rmin, rmax), (fmin, fmax)) ->
-      mix_int (mix_int (mix_int (mix_int (mix_int h 1) rmin) rmax) fmin) fmax)
-
-let local_inst_hash (i : Netlist.inst) =
-  let b = Buffer.create 64 in
+let add_inst ~params b (i : Netlist.inst) =
   add_str b i.i_name;
-  add_prim ~params:true b i.i_prim;
+  add_prim ~params b i.i_prim;
+  add_int b (Array.length i.i_inputs);
   Array.iter
     (fun (c : Netlist.conn) ->
+      add_int b c.c_net;
       add_bool b c.c_invert;
-      add_directive b c.c_directive)
+      if params then add_directive b c.c_directive)
     i.i_inputs;
-  mix_str fnv_basis (Buffer.contents b)
+  add_opt add_int b i.i_output
 
-let cones ?sched ?prev ?dirty nl =
-  let s = match sched with Some s -> s | None -> Sched.compute nl in
+(* ---- the record table ----------------------------------------------------- *)
+
+(* The table is the byte image the digest hashes: the header, then one
+   16-byte record hash per net and per instance, then (digest only) the
+   hash of the corner table.  Edits change parameters, never the header
+   fields or the counts, so the image keeps its layout for the netlist's
+   lifetime and a digest hashes it in place. *)
+
+let hash_len = 16
+
+type table = { params : bool; base : int; image : Bytes.t; scratch : Buffer.t }
+
+let store t slot add x =
+  Buffer.clear t.scratch;
+  add ~params:t.params t.scratch x;
+  Bytes.blit_string (Digest.string (Buffer.contents t.scratch)) 0 t.image
+    (t.base + (slot * hash_len)) hash_len
+
+let rehash t nl ~nets ~insts =
+  List.iter (fun id -> store t id add_net (Netlist.net nl id)) nets;
+  let base = Netlist.n_nets nl in
+  List.iter (fun id -> store t (base + id) add_inst (Netlist.inst nl id)) insts
+
+let build ~params nl =
   let n_nets = Netlist.n_nets nl and n_insts = Netlist.n_insts nl in
-  let fp =
-    match prev with
-    | Some p when Array.length p = max 1 n_nets -> Array.copy p
-    | _ -> Array.make (max 1 n_nets) 0L
-  in
-  let dirty = match dirty with Some f -> f | None -> fun _ -> true in
-  (* source fingerprints: undriven nets depend only on themselves *)
-  Netlist.iter_nets nl (fun n ->
-      if n.n_driver = None && dirty n.n_id then fp.(n.n_id) <- local_net_hash n);
-  (* group instances by component of the condensation *)
-  let n_sccs = Sched.n_sccs s in
-  let members = Array.make (max 1 n_sccs) [] in
-  for id = n_insts - 1 downto 0 do
-    let c = Sched.scc s id in
-    members.(c) <- id :: members.(c)
-  done;
-  let finish_inst seed_for_intra inst_id =
-    let i = Netlist.inst nl inst_id in
-    let h = ref (local_inst_hash i) in
-    Array.iter
-      (fun (c : Netlist.conn) ->
-        let h' =
-          match seed_for_intra c.c_net with
-          | Some seed -> mix_i64 seed (local_net_hash (Netlist.net nl c.c_net))
-          | None -> fp.(c.c_net)
-        in
-        h := mix_i64 !h h')
-      i.i_inputs;
-    match i.i_output with
-    | None -> ()
-    | Some o -> fp.(o) <- mix_i64 !h (local_net_hash (Netlist.net nl o))
-  in
-  (* SCC ids are assigned in reverse topological order, so descending
-     ids visit producers before consumers.  With [dirty] given (a
-     forward-closed net set over [prev]'s netlist state), components
-     whose outputs are all clean keep their [prev] hashes untouched —
-     nothing in their driving cone can have changed. *)
-  let any_output_dirty insts =
-    List.exists
-      (fun id ->
-        match (Netlist.inst nl id).i_output with
-        | Some o -> dirty o
-        | None -> false)
-      insts
-  in
-  for c = n_sccs - 1 downto 0 do
-    match members.(c) with
-    | [] -> ()
-    | _ when not (any_output_dirty members.(c)) -> ()
-    | [ inst_id ] when Sched.cyclic_slot s inst_id < 0 ->
-      finish_inst (fun _ -> None) inst_id
-    | insts ->
-      (* Feedback component: break the recursion with a two-pass scheme.
-         First a component seed from the sorted member-local hashes, then
-         every member's cone hash treats intra-component inputs as
-         "the component" rather than recursing. *)
-      let intra = Hashtbl.create 8 in
-      List.iter
-        (fun id ->
-          match (Netlist.inst nl id).i_output with
-          | Some o -> Hashtbl.replace intra o ()
-          | None -> ())
-        insts;
-      let seed =
-        List.fold_left
-          (fun acc id -> mix_i64 acc (local_inst_hash (Netlist.inst nl id)))
-          fnv_basis insts
-      in
-      List.iter
-        (fun id ->
-          finish_inst
-            (fun net -> if Hashtbl.mem intra net then Some seed else None)
-            id)
-        insts
-  done;
-  fp
+  let h = Buffer.create 256 in
+  let tb = Netlist.timebase nl in
+  add_int h (Timebase.period tb);
+  add_int h (Timebase.clock_unit tb);
+  add_delay h (Netlist.default_wire_delay nl);
+  add_int h n_nets;
+  add_int h n_insts;
+  let base = Buffer.length h in
+  let slots = n_nets + n_insts + if params then 1 else 0 in
+  let image = Bytes.create (base + (slots * hash_len)) in
+  Buffer.blit h 0 image 0 base;
+  let t = { params; base; image; scratch = h } in
+  Netlist.iter_nets nl (fun n -> store t n.n_id add_net n);
+  Netlist.iter_insts nl (fun i -> store t (n_nets + i.i_id) add_inst i);
+  t
 
-let diff_count a b =
-  let n = min (Array.length a) (Array.length b) in
-  let d = ref (abs (Array.length a - Array.length b)) in
-  for i = 0 to n - 1 do
-    if not (Int64.equal a.(i) b.(i)) then incr d
-  done;
-  !d
+let table nl = build ~params:true nl
+
+(* The corner table is a replayable parameter (Edit.Corners), so it
+   belongs to [digest] but not to [skeleton]; its slot is refreshed on
+   every digest rather than tracked per edit. *)
+let digest_of t nl =
+  if t.params then
+    store t
+      (Netlist.n_nets nl + Netlist.n_insts nl)
+      (fun ~params:_ b c -> add_str b (Corner.table_to_string c))
+      (Netlist.corners nl);
+  Digest.to_hex (Digest.bytes t.image)
+
+let digest nl = digest_of (table nl) nl
+let skeleton nl = digest_of (build ~params:false nl) nl

@@ -1,7 +1,7 @@
 (** Content addressing for the session store (doc/SERVICE.md).
 
-    Three views of a netlist's identity, all computed from a canonical
-    walk of its structure and parameters:
+    Two views of a netlist's identity, both two-level hashes of the same
+    canonical record encoding:
 
     - {!digest}: structure {e and} every parameter.  Equal digests mean
       a cold verify would produce the very same report, so a session
@@ -11,17 +11,32 @@
       in parameters, every one of which is expressible as an
       {!Edit.t} — an existing session can be {e adopted} by replaying
       the parameter diff ({!Edit.diff}) instead of reloading cold.
-    - {!cones}: one 64-bit fingerprint per net over its input cone,
-      computed over the {!Scald_core.Sched} condensation (feedback
-      components are hashed with a two-pass component-seed scheme so the
-      walk terminates).  A net whose cone fingerprint is unchanged
-      between two parameterizations provably carries the same waveform;
-      the service reports reuse in these terms ([reused_nets] /
-      [dirtied_nets]).  Fingerprints are diagnostic — the dirty-cone
-      computation that decides what to re-evaluate is structural, so a
-      hash collision can never produce a wrong verdict. *)
+
+    The first level is a {!table}: one 16-byte MD5 per net record and
+    one per instance record.  The digest is the MD5 of a small header
+    (timebase, default wire delay, net and instance counts), then the
+    table, then the hash of the corner table.  An edit changes only the
+    records of the ids {!Edit.apply} reports, so a session keeps its
+    table current with {!rehash} and pays one MD5 over 16 bytes per
+    record for a digest, instead of re-encoding the whole netlist. *)
 
 open Scald_core
+
+type table
+(** Per-record hashes of one netlist, parameters included. *)
+
+val table : Netlist.t -> table
+(** Hash every net and instance record of the netlist. *)
+
+val rehash : table -> Netlist.t -> nets:int list -> insts:int list -> unit
+(** Re-hash the records of the given net and instance ids after an
+    in-place edit of the netlist the table was built from.  Every record
+    whose content changed must be listed; listing an unchanged one is
+    harmless. *)
+
+val digest_of : table -> Netlist.t -> string
+(** Hex digest of the table and the netlist's header and corner table.
+    Equals {!digest} of the netlist as long as the table is current. *)
 
 val digest : Netlist.t -> string
 (** Hex digest of structure plus all parameters, including the delay
@@ -30,16 +45,3 @@ val digest : Netlist.t -> string
 
 val skeleton : Netlist.t -> string
 (** Hex digest of structure only. *)
-
-val cones :
-  ?sched:Sched.t -> ?prev:int64 array -> ?dirty:(int -> bool) -> Netlist.t -> int64 array
-(** Per-net input-cone fingerprints, indexed by net id.  [sched] reuses
-    a precomputed condensation.  [prev] and [dirty] together select the
-    incremental mode: hashes are recomputed only for nets satisfying
-    [dirty], everything else is copied from [prev].  Correct only when
-    [dirty] is closed under forward reachability from every net or
-    instance whose parameters changed since [prev] was computed — which
-    is exactly the dirty cone [Session.reverify] already has in hand. *)
-
-val diff_count : int64 array -> int64 array -> int
-(** Number of positions where two fingerprint arrays disagree. *)

@@ -22,7 +22,9 @@ type t = {
   sv_kind_hist : (string, Scald_obs.Hist.t) Hashtbl.t;  (* request wall µs *)
   sv_phase_hist : (string, Scald_obs.Hist.t) Hashtbl.t;  (* span µs by name *)
   mutable sv_spans_seen : int;  (* profiler spans consumed so far *)
-  mutable sv_lanes : (int * string) list;  (* trace lanes, newest first *)
+  mutable sv_lanes : (int * string) list;
+      (* trace lanes as (request number, op), newest first; named by
+         [lanes] only when a trace is written *)
   mutable sv_mem : Scald_obs.Mem.snapshot;
   mutable sv_bpp : float;  (* bytes per primitive, last sampled *)
 }
@@ -53,7 +55,8 @@ let create ?obs ?(telemetry = true) ?(slow_ms = infinity) ?log ?prom () =
   }
 
 let store t = t.sv_store
-let lanes t = List.rev t.sv_lanes
+let lanes t =
+  List.rev_map (fun (reqno, op) -> (reqno, Printf.sprintf "r%d:%s" reqno op)) t.sv_lanes
 
 let hello () =
   Json.Obj
@@ -101,12 +104,8 @@ let consume_spans t =
   let n = Scald_obs.Span.n_completed prof in
   let fresh = n - t.sv_spans_seen in
   if fresh > 0 then begin
-    List.iter
-      (fun (s : Scald_obs.Span.span) ->
-        Scald_obs.Hist.add
-          (hist_for t.sv_phase_hist s.Scald_obs.Span.s_name)
-          s.Scald_obs.Span.s_dur_us)
-      (Scald_obs.Span.recent prof fresh);
+    Scald_obs.Span.iter_recent prof fresh (fun name dur_us ->
+        Scald_obs.Hist.add (hist_for t.sv_phase_hist name) dur_us);
     t.sv_spans_seen <- n
   end;
   fresh
@@ -378,7 +377,6 @@ let do_verify t j =
           st_reused_nets = Netlist.n_nets (Session.netlist s);
           st_dirtied_nets = 0;
           st_warm_hits = 0;
-          st_fp_changed = 0;
           st_events = 0;
           st_evaluations = 0;
         },
@@ -542,7 +540,7 @@ let handle t req =
     Scald_obs.Obs.set_lane t.sv_obs 0;
     let fresh = consume_spans t in
     if fresh > 0 then
-      t.sv_lanes <- (reqno, Printf.sprintf "r%d:%s" reqno op) :: t.sv_lanes;
+      t.sv_lanes <- (reqno, op) :: t.sv_lanes;
     let dur_us = Scald_obs.Obs.now_us t.sv_obs -. t_start in
     if List.mem op kinds then
       Scald_obs.Hist.add (hist_for t.sv_kind_hist op) dur_us;
@@ -589,6 +587,11 @@ let write_trace t path =
 let run ?metrics ?slow_ms ?log ?prom ?trace ?telemetry ic oc =
   let log_oc = Option.map open_out log in
   let t = create ?telemetry ?slow_ms ?log:log_oc ?prom () in
+  (* Spans and trace lanes are kept only for the trace or metrics file
+     written on exit; otherwise each request's are dropped once
+     [handle] has folded them into the histograms, so the daemon's
+     memory does not grow with the number of requests served. *)
+  let keep_spans = trace <> None || metrics <> None in
   output_string oc (Json.to_string (hello ()));
   output_char oc '\n';
   flush oc;
@@ -599,6 +602,10 @@ let run ?metrics ?slow_ms ?log ?prom ?trace ?telemetry ic oc =
       if String.trim line = "" then loop ()
       else begin
         let resp, cont = handle_line t line in
+        if not keep_spans then begin
+          Scald_obs.Span.forget (Scald_obs.Obs.profiler t.sv_obs);
+          t.sv_lanes <- []
+        end;
         output_string oc resp;
         output_char oc '\n';
         flush oc;

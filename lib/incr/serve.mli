@@ -92,5 +92,7 @@ val run :
     [shutdown] or end of input.  [metrics] names a file to write final
     run metrics to on exit; [trace] a Chrome trace written on exit;
     [log]/[prom]/[slow_ms]/[telemetry] as in {!create} ([log] is
-    opened and closed by the loop).  Returns the process exit code
-    (0). *)
+    opened and closed by the loop).  Without [trace] or [metrics],
+    each request's spans and trace lane are dropped once folded into
+    the telemetry histograms, so the daemon's memory stays flat however
+    many requests it serves.  Returns the process exit code (0). *)

@@ -5,7 +5,6 @@ type stats = {
   st_reused_nets : int;
   st_dirtied_nets : int;
   st_warm_hits : int;
-  st_fp_changed : int;
   st_events : int;
   st_evaluations : int;
 }
@@ -13,10 +12,15 @@ type stats = {
 type t = {
   s_nl : Netlist.t;
   s_id : string;
+  (* per-record hashes of the netlist as currently edited, re-hashed
+     record by record in [reverify] *)
+  s_table : Fingerprint.table;
   (* content digest of the netlist as currently edited; [None] after a
-     re-verify, recomputed on demand — off the re-verify hot path *)
+     re-verify, recomputed from [s_table] on demand *)
   mutable s_digest : string option;
-  s_skeleton : string;
+  (* edits never change structure, so the skeleton is computed at most
+     once, when a store lookup first asks for it *)
+  s_skeleton : string Lazy.t;
   s_sched : Sched.t;
   s_mode : Eval.mode;
   (* mutable: kept current across edits with [Window.update]; rebuilt
@@ -30,7 +34,6 @@ type t = {
      emitted here inherit whatever lane the serve loop set, so traces
      attribute each phase to its request *)
   s_probe : Verifier.probe option;
-  mutable s_fp : int64 array;
   mutable s_cases : Case_analysis.case list;
   mutable s_case_nets : int list;
   mutable s_pending : Edit.t list;  (* reversed: newest first *)
@@ -106,24 +109,25 @@ let cached_check t =
   let base = List.concat (List.rev !acc) in
   (Eval.divergence ev @ base, !hits)
 
-let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
+let load_indexed ?(mode = Eval.Level) ?(cases = []) ?probe table nl =
   let sched = Sched.compute nl in
   let case_nets = resolved_case_nets nl cases in
   let window = Window.analyse ~sched ~case_nets nl in
   let report = Verifier.verify ~cases ~jobs:1 ?probe ~sched:mode ~window nl in
   let ev = report.Verifier.r_eval in
+  let id = Fingerprint.digest_of table nl in
   let t =
     {
       s_nl = nl;
-      s_id = Fingerprint.digest nl;
-      s_digest = None;
-      s_skeleton = Fingerprint.skeleton nl;
+      s_id = id;
+      s_table = table;
+      s_digest = Some id;
+      s_skeleton = lazy (Fingerprint.skeleton nl);
       s_sched = sched;
       s_mode = mode;
       s_window = window;
       s_ev = ev;
       s_probe = probe;
-      s_fp = Fingerprint.cones ~sched nl;
       s_cases = cases;
       s_case_nets = case_nets;
       s_pending = [];
@@ -136,7 +140,6 @@ let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
           st_reused_nets = 0;
           st_dirtied_nets = Netlist.n_nets nl;
           st_warm_hits = 0;
-          st_fp_changed = Netlist.n_nets nl;
           st_events = report.Verifier.r_events;
           st_evaluations = report.Verifier.r_evaluations;
         };
@@ -144,7 +147,6 @@ let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
       v_net = Array.make (max 1 (Netlist.n_nets nl)) None;
     }
   in
-  t.s_digest <- Some t.s_id;
   (* Prime the violation caches against the final cold-run state so the
      first re-verify reuses every verdict outside its dirty cone.  This
      replays one check pass; its waveform-cache traffic lands in the
@@ -154,23 +156,26 @@ let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
   t.s_cum <- Eval.counters ev;
   t
 
+let load ?mode ?cases ?probe nl =
+  load_indexed ?mode ?cases ?probe (Fingerprint.table nl) nl
+
 let id t = t.s_id
 
 let digest t =
   match t.s_digest with
   | Some d -> d
   | None ->
-    let d = Fingerprint.digest t.s_nl in
+    let d = Fingerprint.digest_of t.s_table t.s_nl in
     t.s_digest <- Some d;
     d
-let skeleton t = t.s_skeleton
+
+let skeleton t = Lazy.force t.s_skeleton
 let netlist t = t.s_nl
 let mode t = t.s_mode
 let report t = t.s_report
 let cases t = t.s_cases
 let stats t = t.s_last
 let cumulative t = t.s_cum
-let fingerprints t = t.s_fp
 let stage t e = t.s_pending <- e :: t.s_pending
 let pending t = List.length t.s_pending
 
@@ -393,19 +398,13 @@ let reverify ?(carry_counters = true) t =
     }
   in
   t.s_report <- report;
-  (* 6. invalidate the content address (recomputed on demand, off this
-     hot path) and refresh the cone fingerprints incrementally: the
-     dirty cone is forward-closed around everything that changed, which
-     is exactly what the incremental mode needs *)
+  (* 6. re-hash the records the edits changed; the digest itself is
+     recomputed from the table on demand *)
+  span "fingerprint" (fun () ->
+      Fingerprint.rehash t.s_table nl
+        ~nets:(touched_nets @ reinit_nets)
+        ~insts:touched_insts);
   t.s_digest <- None;
-  let fp =
-    span "fingerprint" (fun () ->
-        Fingerprint.cones ~sched:t.s_sched ~prev:t.s_fp
-          ~dirty:(fun nid -> net_dirty.(nid))
-          nl)
-  in
-  let fp_changed = Fingerprint.diff_count t.s_fp fp in
-  t.s_fp <- fp;
   let dirtied = Array.fold_left (fun a d -> if d then a + 1 else a) 0 net_dirty in
   let st =
     {
@@ -413,7 +412,6 @@ let reverify ?(carry_counters = true) t =
       st_reused_nets = Netlist.n_nets nl - dirtied;
       st_dirtied_nets = dirtied;
       st_warm_hits = !warm;
-      st_fp_changed = fp_changed;
       st_events = c.Eval.c_events;
       st_evaluations = c.Eval.c_evaluations;
     }

@@ -37,9 +37,6 @@ type stats = {
   st_reused_nets : int;  (** nets outside the dirty cone (waveform reused) *)
   st_dirtied_nets : int;  (** nets inside the dirty cone *)
   st_warm_hits : int;  (** violation-cache verdicts reused by the check pass *)
-  st_fp_changed : int;
-      (** nets whose {!Fingerprint.cones} fingerprint changed — the
-          content-addressed view of the same cone, as a cross-check *)
   st_events : int;  (** events processed by this request *)
   st_evaluations : int;  (** evaluations performed by this request *)
 }
@@ -51,7 +48,7 @@ val load :
   Netlist.t ->
   t
 (** Cold-start a session: verify the netlist sequentially (computing the
-    schedule and flow analysis once, to be shared by every later
+    schedule and window analysis once, to be shared by every later
     request) and prime the violation caches from the final state.
 
     [probe] is kept for the session's lifetime: the cold verify runs
@@ -60,6 +57,18 @@ val load :
     [pr_span] — so a serve daemon that sets a trace lane per request
     (see {!Scald_obs.Span.set_lane}) gets correctly attributed
     per-request spans instead of one interleaved stream. *)
+
+val load_indexed :
+  ?mode:Eval.mode ->
+  ?cases:Case_analysis.case list ->
+  ?probe:Verifier.probe ->
+  Fingerprint.table ->
+  Netlist.t ->
+  t
+(** {!load} with the netlist's record table ({!Fingerprint.table})
+    already built — {!Store.load} builds it for its digest lookup and
+    hands it over here rather than hashing the netlist twice.  The
+    session takes ownership of the table. *)
 
 val reverify : ?carry_counters:bool -> t -> Verifier.report * stats
 (** Apply the staged edits and re-verify the dirty cone.  With no edits
@@ -84,15 +93,16 @@ val id : t -> string
     loaded with.  Stable for the session's lifetime. *)
 
 val digest : t -> string
-(** Content digest of the design {e as currently edited}.  Computed
-    lazily — {!reverify} only invalidates it, and the first reader
-    after a re-verify (a response, a {!Store} lookup) pays for the
-    recompute, keeping the re-verify itself proportional to the dirty
-    cone. *)
+(** Content digest of the design {e as currently edited}; equals
+    {!Fingerprint.digest} of its netlist.  {!reverify} re-hashes only
+    the records its edits changed (the [fingerprint] span), and the
+    first reader after it (every [verify] response, a {!Store} lookup)
+    pays one MD5 over 16 bytes per record; later readers get the cached
+    value.  Edits staged but not yet re-verified are not reflected. *)
 
 val skeleton : t -> string
 (** Structure-only digest ({!Fingerprint.skeleton}); invariant under
-    edits. *)
+    edits, computed on first use. *)
 
 val netlist : t -> Netlist.t
 val mode : t -> Eval.mode
@@ -105,9 +115,6 @@ val stats : t -> stats
 
 val cumulative : t -> Eval.counters
 (** Counters accumulated over every request of this session. *)
-
-val fingerprints : t -> int64 array
-(** Current per-net cone fingerprints. *)
 
 val listing : t -> string
 (** The violation listing exactly as [scald_tv -q] prints it for the

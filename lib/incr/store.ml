@@ -36,7 +36,8 @@ let same_cases a b = a = b
 
 let load t ?(mode = Eval.Level) ?(cases = []) ?probe nl =
   t.loads <- t.loads + 1;
-  let digest = Fingerprint.digest nl in
+  let table = Fingerprint.table nl in
+  let digest = Fingerprint.digest_of table nl in
   let by_digest =
     List.find_opt
       (fun s -> String.equal (Session.digest s) digest && Session.mode s = mode)
@@ -54,13 +55,14 @@ let load t ?(mode = Eval.Level) ?(cases = []) ?probe nl =
     promote t s;
     Adopted (s, 1)
   | _ -> (
-    let skeleton = Fingerprint.skeleton nl in
+    (* the skeleton is only worth computing against a live candidate *)
+    let skeleton = lazy (Fingerprint.skeleton nl) in
     let by_skeleton =
       List.find_opt
         (fun s ->
-          String.equal (Session.skeleton s) skeleton
-          && Session.mode s = mode
-          && Session.pending s = 0)
+          Session.mode s = mode
+          && Session.pending s = 0
+          && String.equal (Session.skeleton s) (Lazy.force skeleton))
         t.sessions
     in
     match by_skeleton with
@@ -82,6 +84,6 @@ let load t ?(mode = Eval.Level) ?(cases = []) ?probe nl =
       promote t s;
       Adopted (s, n)
     | None ->
-      let s = Session.load ~mode ~cases ?probe nl in
+      let s = Session.load_indexed ~mode ~cases ?probe table nl in
       t.sessions <- s :: t.sessions;
       Cold s)

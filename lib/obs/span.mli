@@ -50,18 +50,30 @@ val probe_span : t -> string -> (unit -> 'a) -> 'a
 val mark : t -> string -> unit
 (** Record an instantaneous (zero-duration) span. *)
 
+val forget : t -> unit
+(** Drop the spans kept so far; {!n_completed} keeps counting.  A
+    long-lived service that neither exports a trace nor sums phases
+    calls it after consuming each request's spans, so its memory does
+    not grow with the number of requests served. *)
+
 val spans : t -> span list
-(** All completed spans, in order of completion time.  O(total) — a
-    long-lived service consuming spans per request should use
-    {!n_completed} + {!recent} instead. *)
+(** All kept spans (every completed span since creation or the last
+    {!forget}), in order of completion time.  O(total) — a long-lived
+    service consuming spans per request should use {!n_completed} +
+    {!iter_recent} instead. *)
 
 val n_completed : t -> int
 (** Completed-span count, O(1).  Sample before and after a request;
     the difference is how many spans the request produced. *)
 
 val recent : t -> int -> span list
-(** [recent t k] is the newest [k] completed spans, newest first, in
-    O(k) — the per-request consumption primitive. *)
+(** [recent t k] is the newest [k] kept spans, newest first, in
+    O(k). *)
+
+val iter_recent : t -> int -> (string -> float -> unit) -> unit
+(** [iter_recent t k f] applies [f name dur_us] to the newest [k] kept
+    spans, oldest first, without allocating — the per-request
+    consumption primitive of the serve daemon's telemetry. *)
 
 val total_us : t -> string -> float
 (** Summed duration of every completed span with the given name. *)

@@ -194,25 +194,6 @@ let test_fingerprint_digest () =
   Alcotest.(check string) "but not the skeleton" (Fingerprint.skeleton a)
     (Fingerprint.skeleton c)
 
-let test_fingerprint_cones () =
-  let a = build_circuit () in
-  let b = build_circuit ~data_wire:(Some (Delay.of_ns 0.5 9.0)) () in
-  let fa = Fingerprint.cones a and fb = Fingerprint.cones b in
-  let net name nl = Option.get (Netlist.find nl name) in
-  Alcotest.(check int) "one fingerprint per net" (Netlist.n_nets a) (Array.length fa);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " upstream of the edit: cone unchanged") true
-        (fa.(net s a) = fb.(net s b)))
-    [ "IN0 .S0-6"; "IN1 .S0-6"; "CK .P2-3"; "G0" ];
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " at/below the edit: cone changed") true
-        (fa.(net s a) <> fb.(net s b)))
-    [ "DATA"; "Q" ];
-  Alcotest.(check int) "diff_count sees exactly the changed cones" 2
-    (Fingerprint.diff_count fa fb)
-
 (* ---- Edit ------------------------------------------------------------------- *)
 
 let test_edit_apply_and_diff () =
@@ -393,6 +374,38 @@ let test_session_corners_edit () =
   | cs ->
     Alcotest.failf "expected a single corner entry, got %d" (List.length cs));
   Alcotest.(check string) "and the original digest" base_digest (Session.digest s)
+
+(* Each edit kind changes the digest, and staging its revert — the
+   parameter diff back to a fresh build — lands the incrementally kept
+   digest exactly on the session handle again. *)
+let test_session_digest_revert () =
+  let s = Session.load (build_circuit ()) in
+  List.iter
+    (fun edit ->
+      let name = Format.asprintf "%a" Edit.pp edit in
+      Session.stage s edit;
+      ignore (Session.reverify s);
+      Alcotest.(check bool) (name ^ ": moves the digest") true
+        (Session.digest s <> Session.id s);
+      List.iter (Session.stage s) (Edit.diff (Session.netlist s) (build_circuit ()));
+      ignore (Session.reverify s);
+      Alcotest.(check string) (name ^ ": revert restores the handle") (Session.id s)
+        (Session.digest s))
+    [
+      Edit.Wire_delay { signal = "DATA"; delay = Some (Delay.of_ns 0.5 9.0) };
+      Edit.Element_delay { inst = "U0"; delay = Delay.of_ns 1.0 3.5 };
+      Edit.Assertion { signal = "CK .P2-3"; assertion = Some (assertion "P4-5") };
+      Edit.Assertion { signal = "IN0 .S0-6"; assertion = None };
+      Edit.Directive { inst = "U0"; input = 1; directive = [ Directive.H ] };
+      Edit.Replace_prim
+        {
+          inst = "U3";
+          prim =
+            Primitive.Setup_hold_check
+              { setup = Timebase.ps_of_ns 3.0; hold = Timebase.ps_of_ns 0.5 };
+        };
+      Edit.Corners (Corner.of_spec "typ,slow");
+    ]
 
 (* IN .S0-4 -> BUF -> D ; SETUP HOLD CHK (D, CK .P2-3).  At the default
    delays the checker is statically proven clean by the arrival-window
@@ -742,11 +755,11 @@ let test_serve_lanes_and_slow () =
 (* ---- the bit-identity property ------------------------------------------------ *)
 
 (* Random acyclic gate networks (always convergent) feeding the
-   registered/checked output stage, plus one random edit: staging the
-   edit on a live session and re-verifying must give the same verdicts
-   and listing as a cold verify of an identically edited fresh build —
-   across both scheduling disciplines and sequential/parallel case
-   evaluation. *)
+   registered/checked output stage, plus one random edit of any kind:
+   staging the edit on a live session and re-verifying must give the
+   same verdicts, listing and content digest as a cold verify of an
+   identically edited fresh build — across both scheduling disciplines
+   and sequential/parallel case evaluation. *)
 
 type recipe = {
   rc_n_inputs : int;
@@ -762,7 +775,7 @@ let gen_recipe =
     let* rc_gates =
       list_repeat n_gates (triple (int_range 0 4) (int_range 0 1000) (int_range 0 1000))
     in
-    let* rc_edit = triple (int_range 0 5) (int_range 0 1000) (int_range 0 40) in
+    let* rc_edit = triple (int_range 0 8) (int_range 0 1000) (int_range 0 40) in
     return { rc_n_inputs; rc_gates; rc_edit }
   in
   QCheck.make
@@ -828,7 +841,31 @@ let recipe_edit r =
   | 2 -> Edit.Element_delay { inst = Printf.sprintf "U%d" (a mod n_gates); delay = Delay.of_ns 1.0 (2.0 +. float_of_int (b mod 9)) }
   | 3 -> Edit.Assertion { signal = input_name (a mod r.rc_n_inputs); assertion = Some (assertion "S1-7") }
   | 4 -> Edit.Assertion { signal = input_name (a mod r.rc_n_inputs); assertion = None }
-  | _ -> Edit.Cases (Case_analysis.complete_exn [ input_name (a mod r.rc_n_inputs) ])
+  | 5 -> Edit.Cases (Case_analysis.complete_exn [ input_name (a mod r.rc_n_inputs) ])
+  | 6 ->
+    Edit.Directive
+      {
+        inst = Printf.sprintf "U%d" (a mod n_gates);
+        input = b mod 2;
+        directive = [ List.nth [ Directive.W; Directive.Z; Directive.A; Directive.H ] (b mod 4) ];
+      }
+  | 7 when b mod 2 = 0 ->
+    Edit.Replace_prim
+      {
+        inst = Printf.sprintf "U%d" (a mod n_gates);
+        prim =
+          Primitive.Gate
+            { fn = Primitive.Or; n_inputs = 2; invert = true; delay = Delay.of_ns 0.5 (1.0 +. float_of_int (b mod 5)) };
+      }
+  | 7 ->
+    Edit.Replace_prim
+      {
+        inst = "UCHK";
+        prim =
+          Primitive.Setup_hold_check
+            { setup = Timebase.ps_of_ns (float_of_int (b mod 9)); hold = Timebase.ps_of_ns 0.5 };
+      }
+  | _ -> Edit.Corners (Corner.of_spec (List.nth [ "typ,slow"; "fast,typ"; "typ,hot=1.4/1.2" ] (b mod 3)))
 
 let recipe_cases () = Case_analysis.complete_exn [ input_name 0 ]
 
@@ -843,7 +880,10 @@ let bit_identity_property =
           Session.stage s edit;
           let report, _ = Session.reverify s in
           let incr_listing = Session.listing s in
-          List.for_all
+          let edited = build_recipe r in
+          ignore (Edit.apply edited edit);
+          Session.digest s = Fingerprint.digest edited
+          && List.for_all
             (fun jobs ->
               let nl = build_recipe r in
               ignore (Edit.apply nl edit);
@@ -863,7 +903,6 @@ let suite =
     Alcotest.test_case "json edge cases" `Quick test_json_edge_cases;
     json_roundtrip_property;
     Alcotest.test_case "fingerprint digest/skeleton" `Quick test_fingerprint_digest;
-    Alcotest.test_case "fingerprint cones localize edits" `Quick test_fingerprint_cones;
     Alcotest.test_case "edit apply and diff" `Quick test_edit_apply_and_diff;
     Alcotest.test_case "edit check rejects without mutating" `Quick test_edit_check;
     Alcotest.test_case "edit of_json" `Quick test_edit_of_json;
@@ -875,6 +914,8 @@ let suite =
     Alcotest.test_case "session case-group swap" `Quick test_session_cases_swap;
     Alcotest.test_case "session corners edit and revert" `Quick
       test_session_corners_edit;
+    Alcotest.test_case "session digest returns to the handle on revert" `Quick
+      test_session_digest_revert;
     Alcotest.test_case "session window pruning tracks edits" `Quick
       test_session_window_prune_tracks_edits;
     Alcotest.test_case "session counters carry" `Quick test_session_counters_carry;

@@ -554,7 +554,18 @@ let test_span_lanes () =
   Alcotest.(check bool) "lane becomes tid" true (contains json "\"tid\": 3");
   Alcotest.(check bool) "thread_name metadata" true
     (contains json "\"thread_name\"");
-  Alcotest.(check bool) "lane named" true (contains json "\"r3:verify\"")
+  Alcotest.(check bool) "lane named" true (contains json "\"r3:verify\"");
+  (* a daemon that exports no trace drops consumed spans per request *)
+  Span.forget prof;
+  Alcotest.(check int) "forget drops the kept spans" 0 (List.length (Span.spans prof));
+  Span.with_span prof "next" (fun () -> tick 0.001);
+  Alcotest.(check int) "but keeps counting" 4 (Span.n_completed prof);
+  let seen = ref [] in
+  Span.iter_recent prof 5 (fun name _ -> seen := name :: !seen);
+  Alcotest.(check (list string)) "iter_recent sees only the kept span" [ "next" ] !seen;
+  match Span.recent prof 1 with
+  | [ s ] -> Alcotest.(check string) "new spans still recorded" "next" s.Span.s_name
+  | l -> Alcotest.failf "expected 1 recent span, got %d" (List.length l)
 
 (* ---- metrics/3: requests counter and duplicate-key rejection ---------------- *)
 
