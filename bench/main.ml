@@ -751,6 +751,27 @@ let wall_timed f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
+(* A GC-settled wall-clock figure: one untimed warm-up run, a
+   [Gc.compact], then [n] timed repeats, each after an untimed [setup].
+   Returns the last repeat's result and the median, min and max. *)
+type timing = { median : float; t_min : float; t_max : float }
+
+let measure ?(n = 5) ?(setup = ignore) f =
+  setup ();
+  ignore (f ());
+  Gc.compact ();
+  let times = Array.make n 0. and last = ref None in
+  for i = 0 to n - 1 do
+    setup ();
+    let x, t = wall_timed f in
+    times.(i) <- t;
+    last := Some x
+  done;
+  Array.sort Float.compare times;
+  (Option.get !last, { median = times.(n / 2); t_min = times.(0); t_max = times.(n - 1) })
+
+let timing_str t = Printf.sprintf "%10.4f s  (min %.4f, max %.4f)" t.median t.t_min t.t_max
+
 (* Reports must agree field-for-field before any speedup is worth
    reporting — a fast wrong answer is not an optimisation. *)
 let reports_equal (a : Verifier.report) (b : Verifier.report) =
@@ -789,29 +810,21 @@ let par_speedup () =
   let cases = Case_analysis.complete_exn inputs in
   Printf.printf "  workload: %d chips, %d cases over %s\n"
     (Netgen.n_chips d) (List.length cases) (String.concat ", " inputs);
-  let best jobs =
-    let rec go n acc =
-      if n = 0 then acc
-      else
-        let _, t = wall_timed (fun () -> ignore (Verifier.verify ~cases ~jobs nl)) in
-        go (n - 1) (Float.min acc t)
-    in
-    go 3 infinity
-  in
+  let time jobs = snd (measure ~n:3 (fun () -> ignore (Verifier.verify ~cases ~jobs nl))) in
   (* reports compared once, un-timed; timing runs are then pure *)
   let r1 = Verifier.verify ~cases ~jobs:1 nl in
   let r4 = Verifier.verify ~cases ~jobs:4 nl in
   let equal = reports_equal r1 r4 in
   Printf.printf "  report identical to sequential at -j 4: %s\n"
     (if equal then "PASS" else "FAIL");
-  let t1 = best 1 in
-  let t4 = best 4 in
-  let speedup = t1 /. Float.max 1e-9 t4 in
-  Printf.printf "  %-44s %10.4f s\n" "sequential (-j 1), best of 3" t1;
-  Printf.printf "  %-44s %10.4f s\n" "parallel (-j 4), best of 3" t4;
+  let t1 = time 1 in
+  let t4 = time 4 in
+  let speedup = t1.median /. Float.max 1e-9 t4.median in
+  Printf.printf "  %-44s %s\n" "sequential (-j 1), median of 3" (timing_str t1);
+  Printf.printf "  %-44s %s\n" "parallel (-j 4), median of 3" (timing_str t4);
   Printf.printf "  %-44s %9.2fx\n" "speedup" speedup;
   emit_bench_metrics "par-speedup"
-    ~phases:[ ("verify_j1", t1); ("verify_j4", t4) ]
+    ~phases:[ ("verify_j1", t1.median); ("verify_j4", t4.median) ]
     r4;
   if not equal then exit 1;
   (* The speedup gate only binds where 4 domains can actually run at
@@ -866,18 +879,19 @@ let sched_speedup () =
     (Netgen.n_chips d) (Netlist.n_insts nl) (List.length cases)
     (String.concat ", " inputs);
   let r_fifo, t_fifo =
-    wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 ~sched:Eval.Fifo nl)
+    measure (fun () -> Verifier.verify ~cases ~jobs:1 ~sched:Eval.Fifo nl)
   in
   let r_level, t_level =
-    wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 ~sched:Eval.Level nl)
+    measure (fun () -> Verifier.verify ~cases ~jobs:1 ~sched:Eval.Level nl)
   in
   let ev_fifo = r_fifo.Verifier.r_evaluations in
   let ev_level = r_level.Verifier.r_evaluations in
   let reduction =
     100. *. (1. -. (float_of_int ev_level /. float_of_int (max 1 ev_fifo)))
   in
-  Printf.printf "  %-44s %12d %10.4f s\n" "evaluations, FIFO relaxation" ev_fifo t_fifo;
-  Printf.printf "  %-44s %12d %10.4f s\n" "evaluations, levelized" ev_level t_level;
+  Printf.printf "  %-44s %12d %s\n" "evaluations, FIFO relaxation" ev_fifo
+    (timing_str t_fifo);
+  Printf.printf "  %-44s %12d %s\n" "evaluations, levelized" ev_level (timing_str t_level);
   Printf.printf "  %-44s %11.1f %%\n" "evaluation reduction" reduction;
   Printf.printf "  %-44s %12d\n" "schedule levels"
     r_level.Verifier.r_obs.Verifier.os_sched_levels;
@@ -899,7 +913,7 @@ let sched_speedup () =
   Printf.printf "  fifo report bit-identical at -j 4: %s\n"
     (if det_fifo then "PASS" else "FAIL");
   emit_bench_metrics "sched-speedup"
-    ~phases:[ ("verify_fifo", t_fifo); ("verify_level", t_level) ]
+    ~phases:[ ("verify_fifo", t_fifo.median); ("verify_level", t_level.median) ]
     r_level;
   let budget = 30.0 in
   Printf.printf "\n  evaluation-reduction budget >= %.0f%%: %s\n" budget
@@ -950,19 +964,19 @@ let window_prune_bench () =
       0 r.Verifier.r_obs.Verifier.os_evals_by_kind
   in
   let r_off, t_off =
-    wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 ~window_prune:false nl)
+    measure ~n:3 (fun () -> Verifier.verify ~cases ~jobs:1 ~window_prune:false nl)
   in
-  let r_on, t_on = wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 nl) in
+  let r_on, t_on = measure ~n:3 (fun () -> Verifier.verify ~cases ~jobs:1 nl) in
   let ck_off = checker_evals r_off in
   let ck_on = checker_evals r_on in
   let reduction =
     100. *. (1. -. (float_of_int ck_on /. float_of_int (max 1 ck_off)))
   in
   let o = r_on.Verifier.r_obs in
-  Printf.printf "  %-44s %12d %10.4f s\n" "checker evaluations, window pruning off"
-    ck_off t_off;
-  Printf.printf "  %-44s %12d %10.4f s\n" "checker evaluations, window pruning on"
-    ck_on t_on;
+  Printf.printf "  %-44s %12d %s\n" "checker evaluations, window pruning off"
+    ck_off (timing_str t_off);
+  Printf.printf "  %-44s %12d %s\n" "checker evaluations, window pruning on"
+    ck_on (timing_str t_on);
   Printf.printf "  %-44s %11.1f %%\n" "checker-evaluation reduction" reduction;
   Printf.printf "  %-44s %12d of %d\n" "checkers statically proven clean"
     o.Verifier.os_window_insts n_checkers;
@@ -977,7 +991,7 @@ let window_prune_bench () =
   Printf.printf "  pruned report bit-identical at -j 4: %s\n"
     (if det then "PASS" else "FAIL");
   emit_bench_metrics "window-prune"
-    ~phases:[ ("verify_nowindow", t_off); ("verify_window", t_on) ]
+    ~phases:[ ("verify_nowindow", t_off.median); ("verify_window", t_on.median) ]
     ~extra:
       [ ("win_checker_evals_off", ck_off);
         ("win_checker_evals_on", ck_on);
@@ -1060,14 +1074,20 @@ let incr_reverify () =
   (* cold baseline: a fresh build with the same edit applied up front *)
   let cold_nl = fresh () in
   ignore (Edit.apply cold_nl edit);
-  let r_cold, t_cold = wall_timed (fun () -> Verifier.verify ~jobs:1 cold_nl) in
+  let r_cold, t_cold = measure (fun () -> Verifier.verify ~jobs:1 cold_nl) in
   (* incremental: load once (not timed — it IS a cold verify), then
      stage the edit and time the re-verify plus the digest every verify
-     response carries *)
+     response carries; before each run an untimed revert restores the
+     loaded design *)
+  let revert = Edit.Wire_delay { signal; delay = (Netlist.net nl victim).Netlist.n_wire_delay } in
   let s = Session.load nl in
-  Session.stage s edit;
   let (r_incr, st), t_incr =
-    wall_timed (fun () ->
+    measure
+      ~setup:(fun () ->
+        Session.stage s revert;
+        ignore (Session.reverify s);
+        Session.stage s edit)
+      (fun () ->
         let r = Session.reverify s in
         ignore (Session.digest s);
         r)
@@ -1075,10 +1095,11 @@ let incr_reverify () =
   let ev_cold = r_cold.Verifier.r_evaluations in
   let ev_incr = st.Session.st_evaluations in
   let ev_x = float_of_int ev_cold /. float_of_int (max 1 ev_incr) in
-  let wall_x = t_cold /. (t_incr +. epsilon_float) in
-  Printf.printf "  %-44s %12d %10.4f s\n" "cold verify: evaluations, wall" ev_cold t_cold;
-  Printf.printf "  %-44s %12d %10.4f s\n" "re-verify + digest: evaluations, wall"
-    ev_incr t_incr;
+  let wall_x = t_cold.median /. (t_incr.median +. epsilon_float) in
+  Printf.printf "  %-44s %12d %s\n" "cold verify: evaluations, wall" ev_cold
+    (timing_str t_cold);
+  Printf.printf "  %-44s %12d %s\n" "re-verify + digest: evaluations, wall"
+    ev_incr (timing_str t_incr);
   Printf.printf "  %-44s %12d of %d (%d reused)\n" "nets dirtied"
     st.Session.st_dirtied_nets (Netlist.n_nets nl) st.Session.st_reused_nets;
   Printf.printf "  %-44s %12d\n" "violation-cache verdicts reused"
@@ -1095,7 +1116,7 @@ let incr_reverify () =
   Printf.printf "  listing byte-identical to the cold run: %s\n"
     (if bytes_equal then "PASS" else "FAIL");
   emit_bench_metrics "incr-reverify"
-    ~phases:[ ("verify_cold", t_cold); ("reverify_incr", t_incr) ]
+    ~phases:[ ("verify_cold", t_cold.median); ("reverify_incr", t_incr.median) ]
     r_incr;
   let budget = 10.0 in
   Printf.printf "\n  evaluation speedup >= %.0fx: %s\n" budget
@@ -1165,28 +1186,19 @@ let corner_speedup () =
   (* Timing first, on a pristine heap: the correctness verifies below
      retain whole reports (each holding an evaluator), and a packed run
      timed behind megabytes of live state pays their GC bill.  Each
-     series starts from a compacted heap so single, sequential and
-     packed face the same allocator. *)
-  let best f =
-    Gc.compact ();
-    let rec go n acc =
-      if n = 0 then acc
-      else
-        let _, t = wall_timed f in
-        go (n - 1) (Float.min acc t)
-    in
-    go 3 infinity
-  in
+     series starts from a compacted heap ([measure]) so single,
+     sequential and packed face the same allocator. *)
+  let time f = snd (measure ~n:3 f) in
   let t_single =
-    best (fun () -> ignore (Verifier.verify ~cases ~jobs:1 ~corners:(single 0) nl))
+    time (fun () -> ignore (Verifier.verify ~cases ~jobs:1 ~corners:(single 0) nl))
   in
   let t_seq4 =
-    best (fun () ->
+    time (fun () ->
         for c = 0 to 3 do
           ignore (Verifier.verify ~cases ~jobs:1 ~corners:(single c) nl)
         done)
   in
-  let t_packed = best (fun () -> ignore (Verifier.verify ~cases ~jobs:1 ~corners nl)) in
+  let t_packed = time (fun () -> ignore (Verifier.verify ~cases ~jobs:1 ~corners nl)) in
   (* verdicts compared un-timed; every verify names its corner table
      explicitly because the table travels on the (shared) netlist *)
   let r_plain = Verifier.verify ~cases ~jobs:1 ~corners:(single 0) nl in
@@ -1210,9 +1222,10 @@ let corner_speedup () =
   Printf.printf "  packed report bit-identical at -j 4: %s\n"
     (if det then "PASS" else "FAIL");
   let o = r_packed.Verifier.r_obs in
-  Printf.printf "  %-44s %10.4f s\n" "single corner (typ), best of 3" t_single;
-  Printf.printf "  %-44s %10.4f s\n" "4 sequential single-corner runs" t_seq4;
-  Printf.printf "  %-44s %10.4f s\n" "packed 4-corner run" t_packed;
+  Printf.printf "  %-44s %s\n" "single corner (typ), median of 3" (timing_str t_single);
+  Printf.printf "  %-44s %s\n" "4 sequential single-corner runs" (timing_str t_seq4);
+  Printf.printf "  %-44s %s\n" "packed 4-corner run" (timing_str t_packed);
+  let t_single = t_single.median and t_seq4 = t_seq4.median and t_packed = t_packed.median in
   Printf.printf "  %-44s %9.2fx\n" "speedup vs sequential"
     (t_seq4 /. Float.max 1e-9 t_packed);
   Printf.printf "  %-44s %9.2fx\n" "cost vs one corner"
@@ -1363,19 +1376,34 @@ let capacity () =
     (if e.Scald_sdl.Expander.e_streamed then "" else "  (NOT streamed!)");
   Printf.printf "  %-44s %10.2f s\n" "load (streaming expansion)" t_load;
   Printf.printf "  %-44s %10.1f\n" "netlist live bytes/primitive" live_load;
-  let ev = Eval.create nl in
-  let (), t_eval = wall_timed (fun () -> Eval.run ev) in
-  let evals_per_sec = float_of_int (Eval.evaluations ev) /. t_eval in
+  (* the evaluator is unreferenced once the run returns, so the live
+     figure below holds the evaluated netlist, as it always has *)
+  Eval.run (Eval.create nl);
   let live_bpp = float_of_int ((live_words () - m0) * 8) /. fp in
   let peak_kb = Scald_obs.Mem.peak_rss_kb () in
   let peak_bpp = float_of_int (peak_kb - peak0_kb) *. 1024. /. fp in
+  (* timed after the memory snapshots, on fresh evaluators, so the
+     repeats cannot move the memory figures; one repeat beyond the
+     smoke scale *)
+  let n = if chips = smoke_chips then 3 else 1 in
+  let ev = ref (Eval.create nl) in
+  let evaluated, t_eval =
+    measure ~n
+      ~setup:(fun () -> ev := Eval.create nl)
+      (fun () ->
+        Eval.run !ev;
+        !ev)
+  in
+  let t_eval = t_eval.median in
+  let evals_per_sec = float_of_int (Eval.evaluations evaluated) /. t_eval in
   Printf.printf "  %-44s %10.2f s  (%.0f evals/s)\n" "eval to fixpoint" t_eval
     evals_per_sec;
   Printf.printf "  %-44s %10.1f\n" "live bytes/primitive (incl eval caches)"
     live_bpp;
   Printf.printf "  %-44s %10.1f  (%d kB)\n" "peak RSS bytes/primitive" peak_bpp
     peak_kb;
-  let report, t_verify = wall_timed (fun () -> Verifier.verify nl) in
+  let report, t_verify = measure ~n (fun () -> Verifier.verify nl) in
+  let t_verify = t_verify.median in
   Printf.printf "  %-44s %10.2f s\n" "full verify (checks included)" t_verify;
   Printf.printf "  %-44s %10d\n" "violations (expected 0)"
     (List.length report.Verifier.r_violations);

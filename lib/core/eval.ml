@@ -76,6 +76,7 @@ type t = {
   mutable diverged_slot : int;  (* cyclic slot that blew its budget, -1 none *)
   in_queue : Bytes.t;  (* packed booleans, one byte per instance *)
   case : Tvalue.t option array;
+  mutable case_ids : int list;  (* ascending ids with a [case] mapping *)
   (* Generation-stamped input cache: [conn_base.(i) + k] is the flat
      index of input [k] of instance [i]; the cached waveform is valid
      while the driving net's [n_gen] still equals [cache_gen]. *)
@@ -181,6 +182,7 @@ let create ?(mode = Level) ?sched ?window nl =
     diverged_slot = -1;
     in_queue = Bytes.make (max 1 n_insts) '\000';
     case = Array.make (max 1 (Netlist.n_nets nl)) None;
+    case_ids = [];
     conn_base;
     cache_gen = Array.make (max 1 !n_conns) (-1);
     cache_wf = Array.make (max 1 !n_conns) dummy_wf;
@@ -477,6 +479,12 @@ let effective_directive t (inst : Netlist.inst) i =
   else (Netlist.net t.nl c.c_net).n_eval_str
 
 let head_letter = function [] -> Directive.E | l :: _ -> l
+
+let letter t inst i = head_letter (effective_directive t inst i)
+
+let exists_letter t (inst : Netlist.inst) pred =
+  let rec go i = i < Array.length inst.i_inputs && (pred (letter t inst i) || go (i + 1)) in
+  go 0
 
 (* ---- input processing --------------------------------------------------- *)
 
@@ -809,31 +817,28 @@ let eval_output_lane t lane (inst : Netlist.inst) =
     let d = if Directive.zero_gate letter then Delay.zero else sc delay in
     Some (apply_delay d wf)
   | Primitive.Gate { fn; n_inputs; invert; delay } ->
-    let letters =
-      Array.init n_inputs (fun i -> head_letter (effective_directive t inst i))
-    in
-    let hazard = Array.exists Directive.check_hazard letters in
-    let zero_gate = Array.exists Directive.zero_gate letters in
-    let wfs =
-      List.init n_inputs (fun i ->
-          if hazard && not (Directive.check_hazard letters.(i)) then
+    let hazard = exists_letter t inst Directive.check_hazard in
+    let zero_gate = exists_letter t inst Directive.zero_gate in
+    let rec gather i acc =
+      if i < 0 then acc
+      else
+        let wf =
+          if hazard && not (Directive.check_hazard (letter t inst i)) then
             (* &A / &H: assume the other (control) inputs enable the
                gate, so the output follows the clock alone (§2.6). *)
             Waveform.const ~period:(period t) (enabling_value fn)
-          else input i)
+          else input i
+        in
+        gather (i - 1) (wf :: acc)
     in
-    let combined = Waveform.mapn (gate_fold fn) wfs in
+    let combined = Waveform.mapn (gate_fold fn) (gather (n_inputs - 1) []) in
     let combined = if invert then Waveform.map Tvalue.lnot combined else combined in
     let d = if zero_gate then Delay.zero else sc delay in
     Some (apply_delay d combined)
   | Primitive.Mux2 { delay; select_extra } ->
     let a = input 0 and b = input 1 and s = input 2 in
     let s = apply_delay (sc select_extra) s in
-    let zero_gate =
-      List.exists
-        (fun i -> Directive.zero_gate (head_letter (effective_directive t inst i)))
-        [ 0; 1; 2 ]
-    in
+    let zero_gate = exists_letter t inst Directive.zero_gate in
     let combined = Waveform.map3 mux_value a b s in
     let d = if zero_gate then Delay.zero else sc delay in
     let out = apply_delay d combined in
@@ -1064,8 +1069,18 @@ let reset_lanes t (n : Netlist.net) =
     t.lanes.(c - 1).l_value.(n.n_id) <- n.n_value
   done
 
+(* A case as an ascending id list, the last binding of an id winning. *)
+let sorted_case case =
+  let rec dedup = function
+    | (a, _) :: ((b, _) :: _ as rest) when a = b -> dedup rest
+    | x :: rest -> x :: dedup rest
+    | [] -> []
+  in
+  dedup (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) case)
+
 let run ?(case = []) t =
   ensure_sched t;
+  let case = sorted_case case in
   if not t.initialized then begin
     t.initialized <- true;
     List.iter (fun (id, v) -> t.case.(id) <- Some v) case;
@@ -1076,23 +1091,32 @@ let run ?(case = []) t =
   end
   else begin
     (* Incremental case change: touch only the nets whose mapping
-       changed (§2.7). *)
-    let wanted = Array.make (Array.length t.case) None in
-    List.iter (fun (id, v) -> wanted.(id) <- Some v) case;
-    Array.iteri
-      (fun id w ->
-        if w <> t.case.(id) then begin
-          t.case.(id) <- w;
-          let n = Netlist.net t.nl id in
-          (match n.n_driver with
-          | None ->
-            assign n (initial_value t n) n.n_eval_str;
-            reset_lanes t n
-          | Some d -> enqueue t d);
-          enqueue_fanout t id
-        end)
-      wanted
+       changed (§2.7), diffing the old and new assignments in ascending
+       net-id order. *)
+    let touch id w =
+      if w <> t.case.(id) then begin
+        t.case.(id) <- w;
+        let n = Netlist.net t.nl id in
+        (match n.n_driver with
+        | None ->
+          assign n (initial_value t n) n.n_eval_str;
+          reset_lanes t n
+        | Some d -> enqueue t d);
+        enqueue_fanout t id
+      end
+    in
+    let rec diff old next =
+      match old, next with
+      | [], [] -> ()
+      | o :: old', [] -> touch o None; diff old' []
+      | [], (id, v) :: next' -> touch id (Some v); diff [] next'
+      | o :: old', (id, v) :: next' ->
+        if o < id then (touch o None; diff old' next)
+        else (touch id (Some v); diff (if o = id then old' else old) next')
+    in
+    diff t.case_ids case
   end;
+  t.case_ids <- List.map fst case;
   fixpoint t
 
 let value t id = (Netlist.net t.nl id).n_value
@@ -1184,6 +1208,7 @@ let check_inst_compute t lane (inst : Netlist.inst) =
     Check.check_min_pulse_width ~inst:inst.i_name
       ~signal:(net_name t inst.i_inputs.(0).c_net)
       ~high ~low wf
+  | Primitive.Gate _ when not (exists_letter t inst Directive.check_hazard) -> []
   | Primitive.Gate _ ->
     let n = Array.length inst.i_inputs in
     let hazard_inputs =
@@ -1317,8 +1342,9 @@ let divergence t =
 
 let check_lane t lane =
   let acc = ref [] in
-  Netlist.iter_insts t.nl (fun inst -> acc := check_inst_lane t lane inst :: !acc);
-  Netlist.iter_nets t.nl (fun n -> acc := check_net_lane t lane n.n_id :: !acc);
+  let keep = function [] -> () | vs -> acc := vs :: !acc in
+  Netlist.iter_insts t.nl (fun inst -> keep (check_inst_lane t lane inst));
+  Netlist.iter_nets t.nl (fun n -> keep (check_net_lane t lane n.n_id));
   let base = List.concat (List.rev !acc) in
   divergence t @ base
 

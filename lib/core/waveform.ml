@@ -33,7 +33,9 @@ let decode = function
   | 5 -> Tvalue.Change
   | _ -> Tvalue.Unknown
 
-let seg_val w i = decode (w.segs.(i) land 7)
+let seg_code w i = w.segs.(i) land 7
+
+let seg_val w i = decode (seg_code w i)
 
 let seg_start w i = w.segs.(i) asr 3
 
@@ -110,26 +112,22 @@ let equal a b =
   let rec go i = i >= a.n_segs || (a.segs.(i) = b.segs.(i) && go (i + 1)) in
   go 0
 
-(* ---- pieces: absolute [start, stop) covering [0, period) ------------- *)
+(* ---- array construction ---------------------------------------------- *)
 
-type piece = { p_start : Timebase.ps; p_stop : Timebase.ps; p_val : Tvalue.t }
+(* Append a piece starting at [s] with value code [c] to the normalized
+   prefix [a.(0 .. n-1)] and return the new length.  Pieces arrive in
+   strictly increasing start order from 0; an equal value extends the
+   last piece instead of starting a new one. *)
+let push a n s c =
+  if n > 0 && a.(n - 1) land 7 = c then n
+  else begin
+    a.(n) <- (s lsl 3) lor c;
+    n + 1
+  end
 
-let piece_at w i =
-  { p_start = seg_start w i;
-    p_stop = (if i = w.n_segs - 1 then w.period else seg_start w (i + 1));
-    p_val = seg_val w i }
-
-let pieces_arr w = Array.init w.n_segs (piece_at w)
-
-let of_pieces ~period ~early ~late pieces =
-  let segs =
-    List.filter_map
-      (fun p ->
-        let width = p.p_stop - p.p_start in
-        if width <= 0 then None else Some (p.p_val, width))
-      pieces
-  in
-  of_segs ~period ~early ~late segs
+let finish ~period ~early ~late a n =
+  { period; n_segs = n; segs = (if n = Array.length a then a else Array.sub a 0 n);
+    early; late }
 
 (* Index of the segment covering instant [t] in [0, period): the largest
    [i] with [start i <= t]. *)
@@ -142,8 +140,6 @@ let seg_index w t =
   !lo
 
 let value_at w t = seg_val w (seg_index w (wrap w.period t))
-
-let starts_list w = List.init w.n_segs (seg_start w)
 
 (* ---- modular intervals ----------------------------------------------- *)
 
@@ -160,133 +156,142 @@ let iv_intersect p (s1, w1) (s2, w2) =
 
 (* ---- sweep construction ---------------------------------------------- *)
 
-(* Build a waveform by sampling a value function on the elementary
-   regions delimited by a list of breakpoints. *)
-let of_breakpoints ~period bps value_of =
-  let bps = List.map (wrap period) bps in
-  let bps = List.sort_uniq Int.compare (0 :: bps) in
-  let rec regions = function
-    | [] -> []
-    | [ last ] -> [ (last, period) ]
-    | a :: (b :: _ as rest) -> (a, b) :: regions rest
-  in
-  let pieces =
-    List.map (fun (a, b) -> { p_start = a; p_stop = b; p_val = value_of a }) (regions bps)
-  in
-  of_pieces ~period ~early:0 ~late:0 pieces
+(* Build a zero-skew waveform by sampling [value_of] at the start of
+   each elementary region delimited by the breakpoints [bps.(0 .. nb-1)]
+   (taken modulo the period, sorted in place: an insertion sort, since
+   there are a handful and they arrive in runs of ascending order). *)
+let sample ~period bps nb value_of =
+  for i = 0 to nb - 1 do
+    let x = wrap period bps.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && bps.(!j) > x do
+      bps.(!j + 1) <- bps.(!j);
+      decr j
+    done;
+    bps.(!j + 1) <- x
+  done;
+  let out = Array.make (nb + 1) 0 in
+  let n = ref (push out 0 0 (code (value_of 0))) and prev = ref 0 in
+  for i = 0 to nb - 1 do
+    let x = bps.(i) in
+    if x <> !prev then begin
+      n := push out !n x (code (value_of x));
+      prev := x
+    end
+  done;
+  finish ~period ~early:0 ~late:0 out !n
 
 let of_intervals ~period ~inside ~outside ivals =
   (* (start, stop): stop < start wraps; stop = start is empty. *)
-  let norm (s, e) =
-    let width =
-      let d = e - s in
-      if d = 0 then 0 else if d < 0 then d + period else min d period
-    in
-    (wrap period s, width)
+  let width (s, e) =
+    let d = e - s in
+    if d = 0 then 0 else if d < 0 then d + period else min d period
   in
-  let ivals = List.filter (fun (_, w) -> w > 0) (List.map norm ivals) in
-  if ivals = [] then const ~period outside
-  else
-    let bps = List.concat_map (fun (s, w) -> [ s; s + w ]) ivals in
-    of_breakpoints ~period bps (fun x ->
-        if List.exists (fun iv -> iv_covers period iv x) ivals then inside else outside)
+  let k = List.fold_left (fun k iv -> if width iv > 0 then k + 1 else k) 0 ivals in
+  if k = 0 then const ~period outside
+  else begin
+    let starts = Array.make k 0 and widths = Array.make k 0 in
+    let bps = Array.make (2 * k) 0 in
+    let j = ref 0 in
+    List.iter
+      (fun ((s, _) as iv) ->
+        let wd = width iv in
+        if wd > 0 then begin
+          starts.(!j) <- wrap period s;
+          widths.(!j) <- wd;
+          bps.(2 * !j) <- s;
+          bps.((2 * !j) + 1) <- s + wd;
+          incr j
+        end)
+      ivals;
+    sample ~period bps (2 * k) (fun x ->
+        let rec covered j =
+          j < k && (widths.(j) >= period || wrap period (x - starts.(j)) < widths.(j)
+                    || covered (j + 1))
+        in
+        if covered 0 then inside else outside)
+  end
 
 (* ---- rotation and delay ---------------------------------------------- *)
 
+(* Split at the period boundary: the segment covering [period - d]
+   opens the result at time 0, the later segments follow, then the
+   earlier ones shifted by [d], then the head of the split segment. *)
 let rotate w d =
-  let d = wrap w.period d in
+  let p = w.period and n = w.n_segs in
+  let d = wrap p d in
   if d = 0 then w
-  else
-    let shifted =
-      Array.to_list (pieces_arr w)
-      |> List.concat_map (fun p ->
-             let s = p.p_start + d and e = p.p_stop + d in
-             if e <= w.period then [ { p with p_start = s; p_stop = e } ]
-             else if s >= w.period then
-               [ { p with p_start = s - w.period; p_stop = e - w.period } ]
-             else
-               [ { p with p_start = s; p_stop = w.period };
-                 { p with p_start = 0; p_stop = e - w.period } ])
-    in
-    let sorted = List.sort (fun a b -> Int.compare a.p_start b.p_start) shifted in
-    of_pieces ~period:w.period ~early:w.early ~late:w.late sorted
+  else begin
+    let q = seg_index w (p - d) in
+    let out = Array.make (n + 1) 0 in
+    let k = ref (push out 0 0 (seg_code w q)) in
+    for i = q + 1 to n - 1 do
+      k := push out !k (seg_start w i + d - p) (seg_code w i)
+    done;
+    for i = 0 to q do
+      if seg_start w i + d < p then k := push out !k (seg_start w i + d) (seg_code w i)
+    done;
+    finish ~period:p ~early:w.early ~late:w.late out !k
+  end
 
 let delay ~dmin ~dmax w =
   if dmin < 0 || dmax < dmin then invalid_arg "Waveform.delay: need 0 <= dmin <= dmax";
   let w = rotate w dmin in
   { w with late = w.late + (dmax - dmin) }
 
-(* ---- transitions ------------------------------------------------------ *)
-
-(* Circular transition list: (time, before, after).  The last segment is
-   the array tail — O(1) instead of the old [List.nth] walk. *)
-let transitions w =
-  let n = w.n_segs in
-  if n <= 1 then []
-  else
-    let rec inner i acc =
-      if i < 1 then acc
-      else inner (i - 1) ((seg_start w i, seg_val w (i - 1), seg_val w i) :: acc)
-    in
-    let inner = inner (n - 1) [] in
-    let last_v = seg_val w (n - 1) and first_v = seg_val w 0 in
-    if Tvalue.equal last_v first_v then inner else (0, last_v, first_v) :: inner
-
 (* ---- materialization --------------------------------------------------- *)
 
+(* One window per transition: the wrap transition at time 0 when the
+   last and first values differ, then one per later segment start.
+   Regions covered by no window keep the nominal value. *)
 let materialize w =
   if w.early = 0 && w.late = 0 then w
+  else if w.n_segs = 1 then { w with early = 0; late = 0 }
   else
-    let trans = transitions w in
-    if trans = [] then { w with early = 0; late = 0 }
-    else
-      let p = w.period in
-      let win_width = w.late - w.early in
-      if win_width >= p then
-        (* Uncertainty covers the whole cycle: every instant may be in
-           some transition window. *)
-        let v =
-          List.fold_left
-            (fun acc (_, before, after) ->
-              Tvalue.merge_uncertain acc (Tvalue.worst_edge ~before ~after))
-            (let _, before, after = List.hd trans in
-             Tvalue.worst_edge ~before ~after)
-            (List.tl trans)
-        in
-        const ~period:p v
-      else
-        let windows =
-          List.map
-            (fun (t, before, after) ->
-              ((wrap p (t + w.early), win_width), Tvalue.worst_edge ~before ~after))
-            trans
-        in
-        let bps =
-          List.concat_map (fun ((s, width), _) -> [ s; s + width ]) windows
-          @ starts_list w
-        in
-        let value_of x =
-          let covering =
-            List.filter_map
-              (fun (iv, v) -> if iv_covers p iv x then Some v else None)
-              windows
-          in
-          match covering with
-          | [] -> value_at w x
-          | v :: rest -> List.fold_left Tvalue.merge_uncertain v rest
-        in
-        of_breakpoints ~period:p bps value_of
+    let p = w.period and n = w.n_segs in
+    let width = w.late - w.early in
+    let first = if seg_code w 0 = seg_code w (n - 1) then 1 else 0 in
+    let k = n - first in
+    let ws = Array.make k 0 and wv = Array.make k Tvalue.Unknown in
+    for j = 0 to k - 1 do
+      let i = j + first in
+      ws.(j) <- wrap p (seg_start w i + w.early);
+      wv.(j) <-
+        Tvalue.worst_edge ~before:(seg_val w ((i + n - 1) mod n)) ~after:(seg_val w i)
+    done;
+    if width >= p then
+      (* Uncertainty covers the whole cycle: every instant may be in
+         some transition window. *)
+      const ~period:p (Array.fold_left Tvalue.merge_uncertain wv.(0) wv)
+    else begin
+      let bps = Array.make (n + (2 * k)) 0 in
+      for i = 0 to n - 1 do
+        bps.(i) <- seg_start w i
+      done;
+      for j = 0 to k - 1 do
+        bps.(n + (2 * j)) <- ws.(j);
+        bps.(n + (2 * j) + 1) <- ws.(j) + width
+      done;
+      sample ~period:p bps (n + (2 * k)) (fun x ->
+          let v = ref Tvalue.Unknown and hit = ref false in
+          for j = 0 to k - 1 do
+            if wrap p (x - ws.(j)) < width then begin
+              v := if !hit then Tvalue.merge_uncertain !v wv.(j) else wv.(j);
+              hit := true
+            end
+          done;
+          if !hit then !v else value_at w x)
+    end
 
 (* ---- pointwise maps ---------------------------------------------------- *)
 
 let map f w =
-  let segs =
-    let rec go i acc =
-      if i < 0 then acc else go (i - 1) ((f (seg_val w i), seg_width w i) :: acc)
-    in
-    go (w.n_segs - 1) []
-  in
-  of_segs ~period:w.period ~early:w.early ~late:w.late segs
+  let out = Array.make w.n_segs 0 in
+  let k = ref 0 in
+  for i = 0 to w.n_segs - 1 do
+    k := push out !k (seg_start w i) (code (f (seg_val w i)))
+  done;
+  finish ~period:w.period ~early:w.early ~late:w.late out !k
 
 let is_const w = w.n_segs = 1
 
@@ -305,16 +310,42 @@ let mapn f ws =
      fold skews together, so the varying input's skew is preserved — this
      is what keeps pulse widths intact through gated clocks whose other
      inputs are stable (§2.8). *)
-  let varying = List.filter (fun w -> not (is_const w)) ws in
-  match varying with
-  | [] -> const ~period:p (f (List.map (fun w -> seg_val w 0) ws))
-  | [ v ] ->
-    let g x = f (List.map (fun w -> if w == v then x else seg_val w 0) ws) in
-    map g v
-  | _ ->
-    let ms = List.map materialize ws in
-    let bps = List.concat_map starts_list ms in
-    of_breakpoints ~period:p bps (fun x -> f (List.map (fun m -> value_at m x) ms))
+  let n_varying = List.fold_left (fun k w -> if is_const w then k else k + 1) 0 ws in
+  if n_varying = 0 then const ~period:p (f (List.map (fun w -> seg_val w 0) ws))
+  else if n_varying = 1 then
+    let v = List.find (fun w -> not (is_const w)) ws in
+    map (fun x -> f (List.map (fun w -> if w == v then x else seg_val w 0) ws)) v
+  else begin
+    (* k-way merge of the materialized inputs' segment starts *)
+    let ms = Array.of_list ws in
+    let cap = ref 0 in
+    for i = 0 to Array.length ms - 1 do
+      ms.(i) <- materialize ms.(i);
+      cap := !cap + ms.(i).n_segs
+    done;
+    let k = Array.length ms in
+    let idx = Array.make k 0 in
+    let out = Array.make !cap 0 in
+    let rec values i acc =
+      if i < 0 then acc else values (i - 1) (seg_val ms.(i) idx.(i) :: acc)
+    in
+    let rec go x n =
+      let n = push out n x (code (f (values (k - 1) []))) in
+      let next = ref p in
+      for i = 0 to k - 1 do
+        if idx.(i) + 1 < ms.(i).n_segs then next := Int.min !next (seg_start ms.(i) (idx.(i) + 1))
+      done;
+      if !next >= p then n
+      else begin
+        for i = 0 to k - 1 do
+          if idx.(i) + 1 < ms.(i).n_segs && seg_start ms.(i) (idx.(i) + 1) = !next then
+            idx.(i) <- idx.(i) + 1
+        done;
+        go !next n
+      end
+    in
+    finish ~period:p ~early:0 ~late:0 out (go 0 0)
+  end
 
 let map2 f a b =
   mapn (function [ x; y ] -> f x y | _ -> assert false) [ a; b ]
@@ -326,112 +357,85 @@ let map3 f a b c =
 
 type window = { w_start : Timebase.ps; w_stop : Timebase.ps }
 
-(* Circular pieces: like the piece array of the materialized waveform but
-   with the wrap-spanning segment (equal first/last values) merged into a
-   single piece whose stop exceeds the period. *)
-let circular_pieces m =
-  let n = m.n_segs in
-  if n <= 1 then pieces_arr m
-  else
-    let first_v = seg_val m 0 and last_v = seg_val m (n - 1) in
-    if Tvalue.equal first_v last_v then
-      let merged =
-        { p_start = seg_start m (n - 1);
-          p_stop = seg_start m 1 + m.period;
-          p_val = first_v }
-      in
-      if n = 2 then [| merged |]
-      else
-        Array.init (n - 1) (fun i ->
-            if i = n - 2 then merged else piece_at m (i + 1))
-    else pieces_arr m
+(* Circular pieces: the segments with a wrap-spanning one (equal first
+   and last values) counted once.  Piece [k] of the [n_segs - off]
+   pieces is segment [k + off], indices taken circularly. *)
+let circ_off w =
+  let n = w.n_segs in
+  if n >= 3 && seg_code w 0 = seg_code w (n - 1) then 1 else 0
 
-let edge_windows ~from_v ~to_v m =
-  let m = materialize m in
-  let arr = circular_pieces m in
-  let n = Array.length arr in
+let circ_val w off k =
+  let nc = w.n_segs - off in
+  seg_val w (((k + nc) mod nc) + off)
+
+(* Windows over the circular pieces of a materialized waveform, in start
+   order: [select prev v next] takes the whole piece ([`Piece], whose
+   stop passes the period when it spans the wrap), the instant of the
+   boundary into it ([`Instant]), or neither. *)
+let circular_windows m select =
+  let n = m.n_segs in
   if n <= 1 then []
   else
-    let get i = arr.((i + n) mod n) in
-    let out = ref [] in
-    for i = 0 to n - 1 do
-      let p = arr.(i) in
-      let prev = get (i - 1) and next = get (i + 1) in
-      (match p.p_val with
-      | Tvalue.Rise when Tvalue.equal from_v Tvalue.V0 && Tvalue.equal to_v Tvalue.V1 ->
-        out := { w_start = p.p_start; w_stop = p.p_stop } :: !out
-      | Tvalue.Fall when Tvalue.equal from_v Tvalue.V1 && Tvalue.equal to_v Tvalue.V0 ->
-        out := { w_start = p.p_start; w_stop = p.p_stop } :: !out
-      | Tvalue.Change | Tvalue.Unknown ->
-        if Tvalue.equal prev.p_val from_v && Tvalue.equal next.p_val to_v then
-          out := { w_start = p.p_start; w_stop = p.p_stop } :: !out
-      | Tvalue.V0 | Tvalue.V1 | Tvalue.Stable | Tvalue.Rise | Tvalue.Fall -> ());
-      (* Instantaneous from_v -> to_v boundary. *)
-      if Tvalue.equal p.p_val from_v && Tvalue.equal next.p_val to_v then
-        let t = wrap m.period p.p_stop in
-        out := { w_start = t; w_stop = t } :: !out
-    done;
-    List.sort (fun a b -> Int.compare a.w_start b.w_start) !out
+    let off = circ_off m in
+    let nc = n - off in
+    let rec go k acc =
+      if k < 0 then acc
+      else
+        let s = seg_start m (k + off) in
+        match select (circ_val m off (k - 1)) (circ_val m off k) (circ_val m off (k + 1)) with
+        | `Piece ->
+          let e = if k + 1 < nc then seg_start m (k + 1 + off) else seg_start m off + m.period in
+          go (k - 1) ({ w_start = s; w_stop = e } :: acc)
+        | `Instant -> go (k - 1) ({ w_start = s; w_stop = s } :: acc)
+        | `Neither -> go (k - 1) acc
+    in
+    go (nc - 1) []
 
-let rising_windows m = edge_windows ~from_v:Tvalue.V0 ~to_v:Tvalue.V1 m
+(* [edge] pieces, [Change]/[Unknown] pieces between [from_v] and [to_v],
+   and instantaneous [from_v] -> [to_v] boundaries. *)
+let edge_windows ~from_v ~to_v ~edge w =
+  circular_windows (materialize w) (fun prev v next ->
+      match v with
+      | Tvalue.Change | Tvalue.Unknown
+        when Tvalue.equal prev from_v && Tvalue.equal next to_v -> `Piece
+      | _ when Tvalue.equal v edge -> `Piece
+      | _ -> if Tvalue.equal prev from_v && Tvalue.equal v to_v then `Instant else `Neither)
 
-let falling_windows m = edge_windows ~from_v:Tvalue.V1 ~to_v:Tvalue.V0 m
+let rising_windows m = edge_windows ~from_v:Tvalue.V0 ~to_v:Tvalue.V1 ~edge:Tvalue.Rise m
+
+let falling_windows m = edge_windows ~from_v:Tvalue.V1 ~to_v:Tvalue.V0 ~edge:Tvalue.Fall m
 
 let change_windows w =
-  let m = materialize w in
-  let arr = circular_pieces m in
-  let n = Array.length arr in
-  if n <= 1 then []
-  else
-    let out = ref [] in
-    for i = 0 to n - 1 do
-      let p = arr.(i) in
-      let next = arr.((i + 1) mod n) in
-      if Tvalue.is_changing p.p_val then
-        out := { w_start = p.p_start; w_stop = p.p_stop } :: !out
-      else if
-        Tvalue.is_stable p.p_val && Tvalue.is_stable next.p_val
-        && not (Tvalue.equal p.p_val next.p_val)
-      then
-        let t = wrap m.period p.p_stop in
-        out := { w_start = t; w_stop = t } :: !out
-    done;
-    List.sort (fun a b -> Int.compare a.w_start b.w_start) !out
+  circular_windows (materialize w) (fun prev v _ ->
+      if Tvalue.is_changing v then `Piece
+      else if Tvalue.is_stable prev && Tvalue.is_stable v && not (Tvalue.equal prev v)
+      then `Instant
+      else `Neither)
 
-let runs_where pred ~period pieces =
-  (* Group consecutive satisfying pieces into runs of (start, stop); the
-     wrap-join inspects only the first and last runs of the array. *)
-  let rev_runs =
-    Array.fold_left
-      (fun runs p ->
-        if not (pred p.p_val) then runs
-        else
-          match runs with
-          | (s, e) :: rest when e = p.p_start -> (s, p.p_stop) :: rest
-          | _ -> (p.p_start, p.p_stop) :: runs)
-      [] pieces
-  in
-  let runs = Array.of_list (List.rev rev_runs) in
-  let k = Array.length runs in
-  if k = 0 then []
-  else if k = 1 && runs.(0) = (0, period) then [ (0, period) ]
+(* Maximal runs of consecutive segments satisfying [pred], as (start,
+   width); a run touching time 0 joins a run ending at the period. *)
+let runs_where pred w =
+  let n = w.n_segs and p = w.period in
+  let ok i = pred (seg_val w i) in
+  let rec head i = if i < n && ok i then head (i + 1) else i in
+  let h = head 0 in
+  if h = n then [ (0, p) ]
   else
-    let s0, e0 = runs.(0) in
-    let last_s, last_e = runs.(k - 1) in
-    if s0 = 0 && last_e = period && k > 1 then
-      (* A run touching time 0 joins a run ending at the period (wrap). *)
-      List.init (k - 1) (fun i ->
-          if i = k - 2 then (last_s, last_e + e0 - last_s)
-          else
-            let s, e = runs.(i + 1) in
-            (s, e - s))
-    else List.init k (fun i ->
-        let s, e = runs.(i) in
-        (s, e - s))
+    let e0 = if h = 0 then 0 else seg_start w h in
+    let rec go i acc =
+      if i < h then acc
+      else if not (ok i) then go (i - 1) acc
+      else
+        let rec first j = if ok (j - 1) then first (j - 1) else j in
+        let j = first i in
+        let s = seg_start w j in
+        let e = if i = n - 1 then p + e0 else seg_start w (i + 1) in
+        go (j - 1) ((s, e - s) :: acc)
+    in
+    let runs = go (n - 1) [] in
+    if h > 0 && not (ok (n - 1)) then (0, e0) :: runs else runs
 
-let intervals_where pred w =
-  let m = materialize w in
-  runs_where pred ~period:m.period (pieces_arr m)
+let intervals_where pred w = runs_where pred (materialize w)
 
 let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
   if rmin < 0 || rmax < rmin || fmin < 0 || fmax < fmin then
@@ -451,23 +455,20 @@ let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
      a 0.  Degenerate patterns (e.g. a Rise returning to 0) fall back to
      the conservative envelope. *)
   let coherent =
-    let arr = circular_pieces m in
-    let n = Array.length arr in
-    n <= 1
-    ||
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      let prev = arr.((i + n - 1) mod n) and next = arr.((i + 1) mod n) in
-      (match arr.(i).p_val with
-      | Tvalue.Rise ->
-        if not (Tvalue.equal prev.p_val Tvalue.V0 && Tvalue.equal next.p_val Tvalue.V1)
-        then ok := false
-      | Tvalue.Fall ->
-        if not (Tvalue.equal prev.p_val Tvalue.V1 && Tvalue.equal next.p_val Tvalue.V0)
-        then ok := false
-      | Tvalue.V0 | Tvalue.V1 | Tvalue.Stable | Tvalue.Change | Tvalue.Unknown -> ())
-    done;
-    !ok
+    let off = circ_off m in
+    let rec go k =
+      k >= m.n_segs - off
+      || (match circ_val m off k with
+         | Tvalue.Rise ->
+           Tvalue.equal (circ_val m off (k - 1)) Tvalue.V0
+           && Tvalue.equal (circ_val m off (k + 1)) Tvalue.V1
+         | Tvalue.Fall ->
+           Tvalue.equal (circ_val m off (k - 1)) Tvalue.V1
+           && Tvalue.equal (circ_val m off (k + 1)) Tvalue.V0
+         | Tvalue.V0 | Tvalue.V1 | Tvalue.Stable | Tvalue.Change | Tvalue.Unknown -> true)
+         && go (k + 1)
+    in
+    m.n_segs <= 1 || go 0
   in
   if not (value_known && coherent) then None
   else
@@ -524,7 +525,9 @@ let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
       in
       if not ordered then None
       else
-        let bps = List.concat_map (fun (s, width, _, _) -> [ s; s + width ]) windows in
+        let bps =
+          Array.of_list (List.concat_map (fun (s, width, _, _) -> [ s; s + width ]) windows)
+        in
         let value_of x =
           let covering =
             List.filter_map
@@ -548,10 +551,9 @@ let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
             in
             (match best with Some (_, post) -> post | None -> Tvalue.V0)
         in
-        Some (of_breakpoints ~period:p bps value_of)
+        Some (sample ~period:p bps (Array.length bps) value_of)
 
-let pulse_intervals v w =
-  runs_where (Tvalue.equal v) ~period:w.period (pieces_arr w)
+let pulse_intervals v w = runs_where (Tvalue.equal v) w
 
 let stable_everywhere w =
   let m = materialize w in

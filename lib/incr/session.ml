@@ -90,7 +90,7 @@ let cached_check t =
         t.v_inst.(id) <- Some (vs, input_gens nl i);
         vs
     in
-    acc := vs :: !acc
+    if not (List.is_empty vs) then acc := vs :: !acc
   done;
   for id = 0 to Netlist.n_nets nl - 1 do
     let n = Netlist.net nl id in
@@ -104,7 +104,7 @@ let cached_check t =
         t.v_net.(id) <- Some (vs, n.n_gen);
         vs
     in
-    acc := vs :: !acc
+    if not (List.is_empty vs) then acc := vs :: !acc
   done;
   let base = List.concat (List.rev !acc) in
   (Eval.divergence ev @ base, !hits)

@@ -24,34 +24,33 @@ let index v =
 type t = {
   buckets : int array;
   mutable count : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
+  stats : float array; (* sum, min, max: unboxed, so [add] allocates nothing *)
 }
 
 let create () =
-  { buckets = Array.make n_buckets 0; count = 0; sum = 0.0; vmin = 0.0; vmax = 0.0 }
+  { buckets = Array.make n_buckets 0; count = 0; stats = Array.make 3 0.0 }
 
 let add t v =
   let v = if v < 0.0 then 0.0 else v in
   let i = index v in
   t.buckets.(i) <- t.buckets.(i) + 1;
+  let st = t.stats in
   if t.count = 0 then begin
-    t.vmin <- v;
-    t.vmax <- v
+    st.(1) <- v;
+    st.(2) <- v
   end
   else begin
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v
+    if v < st.(1) then st.(1) <- v;
+    if v > st.(2) then st.(2) <- v
   end;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v
+  st.(0) <- st.(0) +. v
 
 let count t = t.count
-let sum t = t.sum
-let min_value t = t.vmin
-let max_value t = t.vmax
-let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
+let sum t = t.stats.(0)
+let min_value t = t.stats.(1)
+let max_value t = t.stats.(2)
+let mean t = if t.count = 0 then 0.0 else t.stats.(0) /. float_of_int t.count
 
 let quantile t q =
   if t.count = 0 then 0.0
@@ -62,7 +61,7 @@ let quantile t q =
       if r < 1 then 1 else r
     in
     let rec walk i cum =
-      if i >= n_buckets then t.vmax
+      if i >= n_buckets then t.stats.(2)
       else
         let cum = cum + t.buckets.(i) in
         if cum >= rank then
@@ -70,7 +69,7 @@ let quantile t q =
              range so p0/p100 are exact and a one-element histogram
              returns the element itself. *)
           let b = bound i in
-          if b < t.vmin then t.vmin else if b > t.vmax then t.vmax else b
+          if b < t.stats.(1) then t.stats.(1) else if b > t.stats.(2) then t.stats.(2) else b
         else walk (i + 1) cum
     in
     walk 0 0
@@ -79,24 +78,22 @@ let merge a b =
   let t = create () in
   Array.iteri (fun i n -> t.buckets.(i) <- n + b.buckets.(i)) a.buckets;
   t.count <- a.count + b.count;
-  t.sum <- a.sum +. b.sum;
+  t.stats.(0) <- a.stats.(0) +. b.stats.(0);
   (if a.count = 0 then begin
-     t.vmin <- b.vmin;
-     t.vmax <- b.vmax
+     t.stats.(1) <- b.stats.(1);
+     t.stats.(2) <- b.stats.(2)
    end
    else if b.count = 0 then begin
-     t.vmin <- a.vmin;
-     t.vmax <- a.vmax
+     t.stats.(1) <- a.stats.(1);
+     t.stats.(2) <- a.stats.(2)
    end
    else begin
-     t.vmin <- Float.min a.vmin b.vmin;
-     t.vmax <- Float.max a.vmax b.vmax
+     t.stats.(1) <- Float.min a.stats.(1) b.stats.(1);
+     t.stats.(2) <- Float.max a.stats.(2) b.stats.(2)
    end);
   t
 
 let clear t =
   Array.fill t.buckets 0 n_buckets 0;
   t.count <- 0;
-  t.sum <- 0.0;
-  t.vmin <- 0.0;
-  t.vmax <- 0.0
+  Array.fill t.stats 0 3 0.0

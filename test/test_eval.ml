@@ -435,7 +435,18 @@ let test_incremental_case () =
   Eval.run ~case:[ (ctl, Tvalue.V1) ] ev;
   Alcotest.check tv "case 2: forced 1" Tvalue.V1 (value_at ev q 0);
   Eval.run ev;
-  Alcotest.check tv "cleared: stable again" Tvalue.Stable (value_at ev q 0)
+  Alcotest.check tv "cleared: stable again" Tvalue.Stable (value_at ev q 0);
+  (* two nets, listed out of order with a repeated binding (the last
+     wins); then one mapping dropped while the other stays, which must
+     touch only the dropped net's cone *)
+  Eval.run ~case:[ (other, Tvalue.V1); (ctl, Tvalue.V1); (other, Tvalue.V0) ] ev;
+  Alcotest.check tv "both: ctl 1" Tvalue.V1 (value_at ev q 0);
+  Alcotest.check tv "both: last binding of other" Tvalue.V0 (value_at ev q2 0);
+  let evals_before = Eval.evaluations ev in
+  Eval.run ~case:[ (other, Tvalue.V0) ] ev;
+  Alcotest.check tv "ctl dropped" Tvalue.Stable (value_at ev q 0);
+  Alcotest.check tv "other kept" Tvalue.V0 (value_at ev q2 0);
+  Alcotest.(check int) "only the dropped net's gate" 1 (Eval.evaluations ev - evals_before)
 
 let suite =
   [

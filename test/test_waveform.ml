@@ -364,6 +364,447 @@ let test_many_segments () =
     (Printf.sprintf "near-linear construction+queries (%.3fs)" elapsed)
     true (elapsed < 1.0)
 
+(* ---- array kernels against the list-based reference ----------------------- *)
+
+(* The list-based definitions the array kernels replaced, written
+   against the public interface only.  Each array kernel must return the
+   same normalized waveform (or window list) as its reference: same
+   segment count, same starts, same values, same skew. *)
+module Ref = struct
+  let wrap p x =
+    let r = x mod p in
+    if r < 0 then r + p else r
+
+  type piece = { p_start : int; p_stop : int; p_val : Tvalue.t }
+
+  let pieces w =
+    let rec go at = function
+      | [] -> []
+      | (v, wd) :: rest -> { p_start = at; p_stop = at + wd; p_val = v } :: go (at + wd) rest
+    in
+    Array.of_list (go 0 (Waveform.segments w))
+
+  let of_pieces ~period ~early ~late ps =
+    List.filter_map
+      (fun p ->
+        let wd = p.p_stop - p.p_start in
+        if wd <= 0 then None else Some (p.p_val, wd))
+      ps
+    |> Waveform.create ~period
+    |> Waveform.with_skew ~early ~late
+
+  let iv_covers p (s, width) x = if width >= p then true else wrap p (x - s) < width
+
+  let of_breakpoints ~period bps value_of =
+    let bps = List.sort_uniq Int.compare (0 :: List.map (wrap period) bps) in
+    let rec regions = function
+      | [] -> []
+      | [ last ] -> [ (last, period) ]
+      | a :: (b :: _ as rest) -> (a, b) :: regions rest
+    in
+    of_pieces ~period ~early:0 ~late:0
+      (List.map (fun (a, b) -> { p_start = a; p_stop = b; p_val = value_of a }) (regions bps))
+
+  let of_intervals ~period ~inside ~outside ivals =
+    let norm (s, e) =
+      let width =
+        let d = e - s in
+        if d = 0 then 0 else if d < 0 then d + period else min d period
+      in
+      (wrap period s, width)
+    in
+    let ivals = List.filter (fun (_, w) -> w > 0) (List.map norm ivals) in
+    if ivals = [] then Waveform.const ~period outside
+    else
+      let bps = List.concat_map (fun (s, w) -> [ s; s + w ]) ivals in
+      of_breakpoints ~period bps (fun x ->
+          if List.exists (fun iv -> iv_covers period iv x) ivals then inside else outside)
+
+  let rotate w d =
+    let p = Waveform.period w and early, late = Waveform.skew w in
+    let d = wrap p d in
+    if d = 0 then w
+    else
+      Array.to_list (pieces w)
+      |> List.concat_map (fun pc ->
+             let s = pc.p_start + d and e = pc.p_stop + d in
+             if e <= p then [ { pc with p_start = s; p_stop = e } ]
+             else if s >= p then [ { pc with p_start = s - p; p_stop = e - p } ]
+             else [ { pc with p_start = s; p_stop = p }; { pc with p_start = 0; p_stop = e - p } ])
+      |> List.sort (fun a b -> Int.compare a.p_start b.p_start)
+      |> of_pieces ~period:p ~early ~late
+
+  let delay ~dmin ~dmax w =
+    let early, late = Waveform.skew w in
+    Waveform.with_skew ~early ~late:(late + (dmax - dmin)) (rotate w dmin)
+
+  let transitions w =
+    let ps = pieces w in
+    let n = Array.length ps in
+    if n <= 1 then []
+    else
+      let inner = List.init (n - 1) (fun i -> (ps.(i + 1).p_start, ps.(i).p_val, ps.(i + 1).p_val)) in
+      let last_v = ps.(n - 1).p_val and first_v = ps.(0).p_val in
+      if Tvalue.equal last_v first_v then inner else (0, last_v, first_v) :: inner
+
+  let materialize w =
+    let p = Waveform.period w and early, late = Waveform.skew w in
+    if early = 0 && late = 0 then w
+    else
+      let trans = transitions w in
+      if trans = [] then Waveform.with_skew ~early:0 ~late:0 w
+      else
+        let win_width = late - early in
+        let edges = List.map (fun (_, before, after) -> Tvalue.worst_edge ~before ~after) trans in
+        if win_width >= p then
+          Waveform.const ~period:p
+            (List.fold_left Tvalue.merge_uncertain (List.hd edges) (List.tl edges))
+        else
+          let windows =
+            List.map2 (fun (t, _, _) v -> ((wrap p (t + early), win_width), v)) trans edges
+          in
+          let bps =
+            List.concat_map (fun ((s, width), _) -> [ s; s + width ]) windows
+            @ Array.to_list (Array.map (fun pc -> pc.p_start) (pieces w))
+          in
+          of_breakpoints ~period:p bps (fun x ->
+              match List.filter_map (fun (iv, v) -> if iv_covers p iv x then Some v else None) windows with
+              | [] -> Waveform.value_at w x
+              | v :: rest -> List.fold_left Tvalue.merge_uncertain v rest)
+
+  let map f w =
+    let early, late = Waveform.skew w in
+    Waveform.with_skew ~early ~late
+      (Waveform.create ~period:(Waveform.period w)
+         (List.map (fun (v, wd) -> (f v, wd)) (Waveform.segments w)))
+
+  let mapn f ws =
+    let p = Waveform.period (List.hd ws) in
+    let first w = Waveform.value_at w 0 in
+    match List.filter (fun w -> Waveform.n_segments w > 1) ws with
+    | [] -> Waveform.const ~period:p (f (List.map first ws))
+    | [ v ] -> map (fun x -> f (List.map (fun w -> if w == v then x else first w) ws)) v
+    | _ ->
+      let ms = List.map materialize ws in
+      let bps = List.concat_map (fun m -> Array.to_list (Array.map (fun pc -> pc.p_start) (pieces m))) ms in
+      of_breakpoints ~period:p bps (fun x -> f (List.map (fun m -> Waveform.value_at m x) ms))
+
+  let circular_pieces m =
+    let arr = pieces m in
+    let n = Array.length arr in
+    if n > 1 && Tvalue.equal arr.(0).p_val arr.(n - 1).p_val then
+      let merged = { arr.(n - 1) with p_stop = arr.(0).p_stop + Waveform.period m } in
+      Array.init (n - 1) (fun i -> if i = n - 2 then merged else arr.(i + 1))
+    else arr
+
+  let edge_windows ~from_v ~to_v w =
+    let m = materialize w in
+    let arr = circular_pieces m in
+    let n = Array.length arr in
+    if n <= 1 then []
+    else
+      let out = ref [] in
+      let add s e = out := { Waveform.w_start = s; w_stop = e } :: !out in
+      for i = 0 to n - 1 do
+        let pc = arr.(i) and prev = arr.((i + n - 1) mod n) and next = arr.((i + 1) mod n) in
+        (match pc.p_val with
+        | Tvalue.Rise when Tvalue.equal from_v Tvalue.V0 && Tvalue.equal to_v Tvalue.V1 ->
+          add pc.p_start pc.p_stop
+        | Tvalue.Fall when Tvalue.equal from_v Tvalue.V1 && Tvalue.equal to_v Tvalue.V0 ->
+          add pc.p_start pc.p_stop
+        | Tvalue.Change | Tvalue.Unknown ->
+          if Tvalue.equal prev.p_val from_v && Tvalue.equal next.p_val to_v then
+            add pc.p_start pc.p_stop
+        | _ -> ());
+        if Tvalue.equal pc.p_val from_v && Tvalue.equal next.p_val to_v then
+          let t = wrap (Waveform.period m) pc.p_stop in
+          add t t
+      done;
+      List.sort (fun a b -> Int.compare a.Waveform.w_start b.Waveform.w_start) !out
+
+  let rising_windows = edge_windows ~from_v:Tvalue.V0 ~to_v:Tvalue.V1
+
+  let falling_windows = edge_windows ~from_v:Tvalue.V1 ~to_v:Tvalue.V0
+
+  let change_windows w =
+    let m = materialize w in
+    let arr = circular_pieces m in
+    let n = Array.length arr in
+    if n <= 1 then []
+    else
+      let out = ref [] in
+      for i = 0 to n - 1 do
+        let pc = arr.(i) and next = arr.((i + 1) mod n) in
+        if Tvalue.is_changing pc.p_val then
+          out := { Waveform.w_start = pc.p_start; w_stop = pc.p_stop } :: !out
+        else if
+          Tvalue.is_stable pc.p_val && Tvalue.is_stable next.p_val
+          && not (Tvalue.equal pc.p_val next.p_val)
+        then
+          let t = wrap (Waveform.period m) pc.p_stop in
+          out := { Waveform.w_start = t; w_stop = t } :: !out
+      done;
+      List.sort (fun a b -> Int.compare a.Waveform.w_start b.Waveform.w_start) !out
+
+  let runs_where pred w =
+    let period = Waveform.period w in
+    let rev_runs =
+      Array.fold_left
+        (fun runs pc ->
+          if not (pred pc.p_val) then runs
+          else
+            match runs with
+            | (s, e) :: rest when e = pc.p_start -> (s, pc.p_stop) :: rest
+            | _ -> (pc.p_start, pc.p_stop) :: runs)
+        [] (pieces w)
+    in
+    let runs = Array.of_list (List.rev rev_runs) in
+    let k = Array.length runs in
+    if k = 0 then []
+    else if k = 1 && runs.(0) = (0, period) then [ (0, period) ]
+    else
+      let s0, e0 = runs.(0) and last_s, last_e = runs.(k - 1) in
+      if s0 = 0 && last_e = period && k > 1 then
+        List.init (k - 1) (fun i ->
+            if i = k - 2 then (last_s, last_e + e0 - last_s)
+            else
+              let s, e = runs.(i + 1) in
+              (s, e - s))
+      else List.init k (fun i -> let s, e = runs.(i) in (s, e - s))
+
+  let intervals_where pred w = runs_where pred (materialize w)
+
+  let pulse_intervals v w = runs_where (Tvalue.equal v) w
+
+  (* The parts of [delay_rise_fall] that changed: the coherence test over
+     circular pieces and the breakpoint construction. *)
+  let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
+    let m = materialize w in
+    let p = Waveform.period m in
+    let value_known =
+      List.for_all
+        (fun (v, _) ->
+          match v with
+          | Tvalue.V0 | Tvalue.V1 | Tvalue.Rise | Tvalue.Fall -> true
+          | Tvalue.Stable | Tvalue.Change | Tvalue.Unknown -> false)
+        (Waveform.segments m)
+    in
+    let coherent =
+      let arr = circular_pieces m in
+      let n = Array.length arr in
+      n <= 1
+      || Array.for_all Fun.id
+           (Array.mapi
+              (fun i pc ->
+                let prev = arr.((i + n - 1) mod n).p_val and next = arr.((i + 1) mod n).p_val in
+                match pc.p_val with
+                | Tvalue.Rise -> Tvalue.equal prev Tvalue.V0 && Tvalue.equal next Tvalue.V1
+                | Tvalue.Fall -> Tvalue.equal prev Tvalue.V1 && Tvalue.equal next Tvalue.V0
+                | _ -> true)
+              arr)
+    in
+    if not (value_known && coherent) then None
+    else
+      let rising = rising_windows m and falling = falling_windows m in
+      if rising = [] && falling = [] then Some m
+      else
+        let shift (dmin, dmax, v, post) { Waveform.w_start; w_stop } =
+          (wrap p (w_start + dmin), w_stop - w_start + (dmax - dmin), v, post)
+        in
+        let windows =
+          List.map (shift (rmin, rmax, Tvalue.Rise, Tvalue.V1)) rising
+          @ List.map (shift (fmin, fmax, Tvalue.Fall, Tvalue.V0)) falling
+        in
+        let ordered =
+          let tagged =
+            List.map (fun w -> (w, rmin, rmax)) rising @ List.map (fun w -> (w, fmin, fmax)) falling
+            |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a.Waveform.w_start b.Waveform.w_start)
+            |> Array.of_list
+          in
+          let k = Array.length tagged in
+          let ok = ref true in
+          for i = 0 to k - 2 do
+            let a, _, dmax1 = tagged.(i) and b, dmin2, _ = tagged.(i + 1) in
+            if a.Waveform.w_stop + dmax1 > b.Waveform.w_start + dmin2 then ok := false
+          done;
+          k <= 1
+          ||
+          let a, dmin0, _ = tagged.(0) and b, _, dmaxl = tagged.(k - 1) in
+          !ok && b.Waveform.w_stop + dmaxl <= a.Waveform.w_start + p + dmin0
+        in
+        if not ordered then None
+        else
+          let bps = List.concat_map (fun (s, width, _, _) -> [ s; s + width ]) windows in
+          Some
+            (of_breakpoints ~period:p bps (fun x ->
+                 match
+                   List.filter_map
+                     (fun (s, width, v, _) -> if iv_covers p (s, width) x then Some v else None)
+                     windows
+                 with
+                 | v :: rest -> List.fold_left Tvalue.merge_uncertain v rest
+                 | [] ->
+                   List.fold_left
+                     (fun acc (s, width, _, post) ->
+                       let d = wrap p (x - wrap p (s + width)) in
+                       match acc with Some (bd, _) when bd <= d -> acc | _ -> Some (d, post))
+                     None windows
+                   |> Option.fold ~none:Tvalue.V0 ~some:snd))
+end
+
+(* Random waveforms for the kernel comparisons: short periods so that
+   breakpoints collide, mostly 0/1 values so that edges are
+   instantaneous, wrap-spanning equal first and last segments, and skews
+   from none to twice the period. *)
+let gen_kernel_wf ?(values = Tvalue.all) p =
+  let open QCheck.Gen in
+  let* n = int_range 1 6 in
+  let* cuts = list_repeat n (int_range 1 (p - 1)) in
+  let bounds = (0 :: List.sort_uniq Int.compare cuts) @ [ p ] in
+  let rec widths = function a :: (b :: _ as rest) -> (b - a) :: widths rest | _ -> [] in
+  let widths = widths bounds in
+  let* vs =
+    list_repeat (List.length widths)
+      (frequency [ (3, oneofl [ Tvalue.V0; Tvalue.V1 ]); (2, oneofl values) ])
+  in
+  let* wrap_equal = bool in
+  let vs =
+    match vs with
+    | first :: (_ :: _ :: _ as rest) when wrap_equal ->
+      first :: List.rev (first :: List.tl (List.rev rest))
+    | _ -> vs
+  in
+  let* early, late =
+    frequency
+      [
+        (2, return (0, 0));
+        (4, pair (int_range 0 (p / 4)) (int_range 0 (p / 4)));
+        (1, pair (int_range 0 (2 * p)) (int_range (p / 2) (2 * p)));
+      ]
+  in
+  return (Waveform.with_skew ~early:(-early) ~late (Waveform.create ~period:p (List.combine vs widths)))
+
+let gen_period = QCheck.Gen.oneofl [ 8; 12; 20; 50_000 ]
+
+let pp_wf = Format.asprintf "%a" Waveform.pp
+
+let arb_wfs ?values n_min n_max =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun ws -> String.concat " | " (List.map pp_wf ws))
+    (let* p = gen_period in
+     let* n = int_range n_min n_max in
+     list_repeat n (gen_kernel_wf ?values p))
+
+let arb_wf_int lo hi =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (w, d) -> Printf.sprintf "%s by %d" (pp_wf w) d)
+    (let* p = gen_period in
+     let* w = gen_kernel_wf p in
+     let* d = int_range (lo * p) (hi * p) in
+     return (w, d))
+
+let kprop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:500 ~name arb f)
+
+let same_windows a b = a = (b : Waveform.window list)
+
+let one = function [ w ] -> w | _ -> assert false
+
+let folds =
+  [| Tvalue.land_; Tvalue.lor_; Tvalue.lxor_; Tvalue.chg; Tvalue.merge_uncertain |]
+
+let preds =
+  [|
+    Tvalue.is_stable;
+    (fun v -> not (Tvalue.is_stable v));
+    Tvalue.is_changing;
+    Tvalue.equal Tvalue.V1;
+    (fun v -> not (Tvalue.equal v Tvalue.V0));
+  |]
+
+let kernel_properties =
+  [
+    kprop "materialize matches list reference" (arb_wfs 1 1) (fun ws ->
+        Waveform.equal (Waveform.materialize (one ws)) (Ref.materialize (one ws)));
+    kprop "rotate matches list reference" (arb_wf_int (-3) 3) (fun (w, d) ->
+        Waveform.equal (Waveform.rotate w d) (Ref.rotate w d));
+    kprop "delay matches list reference" (arb_wf_int 0 2) (fun (w, d) ->
+        let dmax = d + (d / 3) in
+        Waveform.equal (Waveform.delay ~dmin:d ~dmax w) (Ref.delay ~dmin:d ~dmax w));
+    kprop "map matches list reference" (arb_wf_int 0 6) (fun (w, k) ->
+        let target = List.nth Tvalue.all (k mod 7) in
+        let f v = if Tvalue.equal v target then Tvalue.Stable else Tvalue.lnot v in
+        Waveform.equal (Waveform.map f w) (Ref.map f w));
+    kprop "mapn matches list reference"
+      QCheck.(pair (int_bound (Array.length folds - 1)) (arb_wfs 2 6))
+      (fun (k, ws) ->
+        let f vs = List.fold_left folds.(k) (List.hd vs) (List.tl vs) in
+        Waveform.equal (Waveform.mapn f ws) (Ref.mapn f ws));
+    kprop "mapn with constant inputs matches list reference" (arb_wfs 2 6) (fun ws ->
+        (* flatten all but one or two inputs to constants, keeping skews *)
+        let ws =
+          List.mapi
+            (fun i w ->
+              if i mod 3 = 0 then w
+              else
+                let early, late = Waveform.skew w in
+                Waveform.with_skew ~early ~late
+                  (Waveform.const ~period:(Waveform.period w) (Waveform.value_at w 0)))
+            ws
+        in
+        let f vs = List.fold_left Tvalue.lor_ Tvalue.V0 vs in
+        Waveform.equal (Waveform.mapn f ws) (Ref.mapn f ws));
+    kprop "map2 and map3 match list reference" (arb_wfs 3 3) (fun ws ->
+        match ws with
+        | [ a; b; c ] ->
+          let f3 a b s = match s with Tvalue.V0 -> a | Tvalue.V1 -> b | _ -> Tvalue.merge_uncertain a b in
+          Waveform.equal (Waveform.map2 Tvalue.land_ a b)
+            (Ref.mapn (fun vs -> Tvalue.land_ (List.nth vs 0) (List.nth vs 1)) [ a; b ])
+          && Waveform.equal (Waveform.map3 f3 a b c)
+               (Ref.mapn (fun vs -> f3 (List.nth vs 0) (List.nth vs 1) (List.nth vs 2)) [ a; b; c ])
+        | _ -> false);
+    kprop "of_intervals matches list reference"
+      (let open QCheck.Gen in
+       QCheck.make
+         ~print:(fun (p, ivs) ->
+           Printf.sprintf "period %d: %s" p
+             (String.concat " " (List.map (fun (s, e) -> Printf.sprintf "[%d,%d)" s e) ivs)))
+         (let* p = gen_period in
+          let* ivs = list_size (int_range 0 4) (pair (int_range (-2 * p) (3 * p)) (int_range (-2 * p) (3 * p))) in
+          (* empty intervals (stop = start) too *)
+          let* dup = bool in
+          return (p, if dup then List.map (fun (s, e) -> if e mod 3 = 0 then (s, s) else (s, e)) ivs else ivs)))
+      (fun (period, ivs) ->
+        Waveform.equal
+          (Waveform.of_intervals ~period ~inside:Tvalue.Change ~outside:Tvalue.Stable ivs)
+          (Ref.of_intervals ~period ~inside:Tvalue.Change ~outside:Tvalue.Stable ivs));
+    kprop "rising and falling windows match list reference" (arb_wfs 1 1) (fun ws ->
+        same_windows (Waveform.rising_windows (one ws)) (Ref.rising_windows (one ws))
+        && same_windows (Waveform.falling_windows (one ws)) (Ref.falling_windows (one ws)));
+    kprop "change windows match list reference" (arb_wfs 1 1) (fun ws ->
+        same_windows (Waveform.change_windows (one ws)) (Ref.change_windows (one ws)));
+    kprop "intervals_where matches list reference"
+      QCheck.(pair (int_bound (Array.length preds - 1)) (arb_wfs 1 1))
+      (fun (k, ws) ->
+        Waveform.intervals_where preds.(k) (one ws) = Ref.intervals_where preds.(k) (one ws));
+    kprop "pulse_intervals matches list reference" (arb_wfs 1 1) (fun ws ->
+        List.for_all
+          (fun v -> Waveform.pulse_intervals v (one ws) = Ref.pulse_intervals v (one ws))
+          Tvalue.all);
+    kprop "delay_rise_fall matches list reference"
+      QCheck.(
+        pair
+          (quad (int_bound 4) (int_bound 4) (int_bound 4) (int_bound 4))
+          (arb_wfs ~values:[ Tvalue.V0; Tvalue.V1; Tvalue.Rise; Tvalue.Fall ] 1 1))
+      (fun ((a, b, c, d), ws) ->
+        let w = one ws in
+        let rise = (a, a + b) and fall = (c, c + d) in
+        Option.equal Waveform.equal
+          (Waveform.delay_rise_fall ~rise ~fall w)
+          (Ref.delay_rise_fall ~rise ~fall w));
+  ]
+
 let suite =
   [
     Alcotest.test_case "const" `Quick test_const;
@@ -395,4 +836,4 @@ let suite =
       test_pulse_intervals_ignore_skew;
     Alcotest.test_case "pulse width after folding" `Quick test_pulse_intervals_after_fold;
   ]
-  @ properties
+  @ properties @ kernel_properties
