@@ -21,7 +21,7 @@ let timed f =
 
 (* With --metrics-dir DIR, experiments that verify a design also write
    their evaluator counters (plus any hand-timed phases) to
-   DIR/BENCH_<id>.json in the scald-metrics/6 shape, so runs can be
+   DIR/BENCH_<id>.json in the scald-metrics/7 shape, so runs can be
    compared column-by-column across commits. *)
 let metrics_dir : string option ref = ref None
 
@@ -1126,126 +1126,6 @@ let incr_reverify () =
   if (not agree) || (not bytes_equal) || ev_x < budget || wall_x < budget then
     exit 1
 
-(* ---- multi-corner packed evaluation ------------------------------------------------------------------- *)
-
-(* Corner-vectorized evaluation (doc/CORNERS.md) must beat re-running
-   the verifier once per corner by a wide margin — the shared traversal,
-   memo caches and lane canonicalization are the whole point.  Gates:
-   the packed k=4 run stays under 2x ONE single-corner run (so the
-   marginal corner costs well under a full run), the reference corner's
-   verdicts are identical to a plain run, every other corner's verdicts
-   match a dedicated single-corner run at that corner, and the packed
-   report stays bit-identical across job counts.  Events and counters
-   legitimately differ between packed and sequential (lane changes are
-   events), so cross-shape comparisons are verdict-based. *)
-let corner_speedup () =
-  section "MULTI-CORNER: 4 corners packed in one traversal vs 4 sequential runs";
-  let d = Netgen.generate (Netgen.scaled ~chips:2000 ()) in
-  let e = Netgen.to_netlist d in
-  let nl = e.Scald_sdl.Expander.e_netlist in
-  (* A full case analysis (32 cases) over five mode-style inputs: §2.7
-     case signals are select/mode bits that reconfigure a slice of the
-     design per case, so pick the IN nets with the smallest transitive
-     fanout cones.  Per-case lane work hits the generation-keyed memos
-     (dirty cones only), and the one-time k-lane first pass amortizes
-     across the sweep exactly as in a production case sweep. *)
-  let cone_size start =
-    let seen_i = Hashtbl.create 64 and seen_n = Hashtbl.create 64 in
-    let rec visit_net id =
-      if not (Hashtbl.mem seen_n id) then begin
-        Hashtbl.add seen_n id ();
-        Netlist.iter_fanout (Netlist.net nl id) visit_inst
-      end
-    and visit_inst iid =
-      if not (Hashtbl.mem seen_i iid) then begin
-        Hashtbl.add seen_i iid ();
-        match (Netlist.inst nl iid).Netlist.i_output with
-        | Some o -> visit_net o
-        | None -> ()
-      end
-    in
-    visit_net start;
-    Hashtbl.length seen_i
-  in
-  let inputs =
-    let found = ref [] in
-    Netlist.iter_nets nl (fun n ->
-        if
-          String.length n.Netlist.n_name >= 3
-          && String.sub n.Netlist.n_name 0 3 = "IN "
-        then found := (cone_size n.Netlist.n_id, n.Netlist.n_name) :: !found);
-    List.sort compare !found |> List.filteri (fun i _ -> i < 5)
-    |> List.map snd
-  in
-  let cases = Case_analysis.complete_exn inputs in
-  let corners = Corner.of_spec "typ,slow,fast,hot=1.4/1.2" in
-  let single c = Array.sub corners c 1 in
-  Printf.printf "  workload: %d chips, %d primitives, %d cases; corners %s\n"
-    (Netgen.n_chips d) (Netlist.n_insts nl) (List.length cases)
-    (Corner.table_to_string corners);
-  (* Timing first, on a pristine heap: the correctness verifies below
-     retain whole reports (each holding an evaluator), and a packed run
-     timed behind megabytes of live state pays their GC bill.  Each
-     series starts from a compacted heap ([measure]) so single,
-     sequential and packed face the same allocator. *)
-  let time f = snd (measure ~n:3 f) in
-  let t_single =
-    time (fun () -> ignore (Verifier.verify ~cases ~jobs:1 ~corners:(single 0) nl))
-  in
-  let t_seq4 =
-    time (fun () ->
-        for c = 0 to 3 do
-          ignore (Verifier.verify ~cases ~jobs:1 ~corners:(single c) nl)
-        done)
-  in
-  let t_packed = time (fun () -> ignore (Verifier.verify ~cases ~jobs:1 ~corners nl)) in
-  (* verdicts compared un-timed; every verify names its corner table
-     explicitly because the table travels on the (shared) netlist *)
-  let r_plain = Verifier.verify ~cases ~jobs:1 ~corners:(single 0) nl in
-  let r_packed = Verifier.verify ~cases ~jobs:1 ~corners nl in
-  let ref_ok = verdicts_equal r_plain r_packed in
-  Printf.printf "  reference-corner verdicts identical to plain run: %s\n"
-    (if ref_ok then "PASS" else "FAIL");
-  let per_corner_ok =
-    List.for_all
-      (fun c ->
-        let r_c = Verifier.verify ~cases ~jobs:1 ~corners:(single c) nl in
-        let packed_c = List.nth r_packed.Verifier.r_corners c in
-        packed_c.Verifier.co_violations = r_c.Verifier.r_violations)
-      [ 1; 2; 3 ]
-  in
-  Printf.printf "  per-corner verdicts match dedicated runs: %s\n"
-    (if per_corner_ok then "PASS" else "FAIL");
-  let det =
-    reports_equal r_packed (Verifier.verify ~cases ~jobs:4 ~corners nl)
-  in
-  Printf.printf "  packed report bit-identical at -j 4: %s\n"
-    (if det then "PASS" else "FAIL");
-  let o = r_packed.Verifier.r_obs in
-  Printf.printf "  %-44s %s\n" "single corner (typ), median of 3" (timing_str t_single);
-  Printf.printf "  %-44s %s\n" "4 sequential single-corner runs" (timing_str t_seq4);
-  Printf.printf "  %-44s %s\n" "packed 4-corner run" (timing_str t_packed);
-  let t_single = t_single.median and t_seq4 = t_seq4.median and t_packed = t_packed.median in
-  Printf.printf "  %-44s %9.2fx\n" "speedup vs sequential"
-    (t_seq4 /. Float.max 1e-9 t_packed);
-  Printf.printf "  %-44s %9.2fx\n" "cost vs one corner"
-    (t_packed /. Float.max 1e-9 t_single);
-  Printf.printf "  %-44s %12d\n" "lane outputs shared with the reference"
-    o.Verifier.os_corner_lanes_shared;
-  Printf.printf "  %-44s %12d\n" "lane evaluations skipped"
-    o.Verifier.os_corner_evals_saved;
-  emit_bench_metrics "corner-speedup"
-    ~phases:
-      [ ("verify_single", t_single); ("verify_seq4", t_seq4);
-        ("verify_packed", t_packed) ]
-    r_packed;
-  let budget = 2.0 in
-  Printf.printf "\n  packed cost budget < %.1fx one single-corner run: %s\n" budget
-    (if t_packed < budget *. t_single then "PASS" else "FAIL");
-  if (not ref_ok) || (not per_corner_ok) || (not det)
-     || t_packed >= budget *. t_single
-  then exit 1
-
 (* ---- service telemetry overhead ----------------------------------------------------------------------- *)
 
 (* Same contract as [obs_overhead], one layer up: the serve loop's
@@ -1376,10 +1256,13 @@ let capacity () =
     (if e.Scald_sdl.Expander.e_streamed then "" else "  (NOT streamed!)");
   Printf.printf "  %-44s %10.2f s\n" "load (streaming expansion)" t_load;
   Printf.printf "  %-44s %10.1f\n" "netlist live bytes/primitive" live_load;
-  (* the evaluator is unreferenced once the run returns, so the live
-     figure below holds the evaluated netlist, as it always has *)
-  Eval.run (Eval.create nl);
+  (* the evaluator stays referenced across the snapshot, so the live
+     figure holds the evaluated netlist plus every evaluator cache: input
+     waveforms, register data and the check memo *)
+  let live_ev = Eval.create nl in
+  Eval.run live_ev;
   let live_bpp = float_of_int ((live_words () - m0) * 8) /. fp in
+  ignore (Sys.opaque_identity live_ev);
   let peak_kb = Scald_obs.Mem.peak_rss_kb () in
   let peak_bpp = float_of_int (peak_kb - peak0_kb) *. 1024. /. fp in
   (* timed after the memory snapshots, on fresh evaluators, so the
@@ -1565,7 +1448,6 @@ let experiments =
     ("obs-overhead", obs_overhead);
     ("par-speedup", par_speedup);
     ("sched-speedup", sched_speedup);
-    ("corner-speedup", corner_speedup);
     ("window-prune", window_prune_bench);
     ("incr-reverify", incr_reverify);
     ("telemetry-overhead", telemetry_overhead);

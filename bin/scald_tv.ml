@@ -16,7 +16,7 @@ let read_file path =
 
 let run file case_file jobs sched corners summary xref quiet paths corr_advice prob
     slack diagram vcd_out phys lint lint_only lint_fatal lint_json profile_out
-    metrics_out explain trace_buffer classes no_window_prune merge_cases windows =
+    metrics_out explain trace_buffer classes no_window_prune windows =
   (* The observability layer is built only when asked for; with every
      obs flag off the verifier sees no probe and the evaluator's event
      hook stays None (the zero-overhead contract of doc/OBSERVABILITY.md). *)
@@ -109,7 +109,7 @@ let run file case_file jobs sched corners summary xref quiet paths corr_advice p
         Verifier.verify
           ?probe:(Option.map Scald_obs.Obs.probe obs)
           ?corners ~cases ~jobs:(max 0 jobs) ~sched ~window_prune:(not no_window_prune)
-          ~merge_cases nl
+          nl
       with
       | report -> report
       | exception Invalid_argument msg ->
@@ -121,15 +121,14 @@ let run file case_file jobs sched corners summary xref quiet paths corr_advice p
     if diagram then
       Format.printf "@.%a@." (fun ppf -> Timing_diagram.pp ppf) report.Verifier.r_eval;
     if slack then begin
-      let ev = report.Verifier.r_eval in
-      if Eval.n_corners ev = 1 then
-        Format.printf "@.%a@." Slack.pp (Slack.compute ev)
-      else
-        Array.iteri
-          (fun lane (c : Corner.t) ->
-            Format.printf "@.CORNER %a@.%a@." Corner.pp c Slack.pp
-              (Slack.compute ~lane ev))
-          (Eval.corners ev)
+      match report.Verifier.r_corners with
+      | [] | [ _ ] -> Format.printf "@.%a@." Slack.pp (Slack.compute report.Verifier.r_eval)
+      | rcs ->
+        List.iter
+          (fun (cr : Verifier.corner_result) ->
+            Format.printf "@.CORNER %a@.%a@." Corner.pp cr.Verifier.co_corner Slack.pp
+              (Slack.compute cr.Verifier.co_eval))
+          rcs
     end;
     (match vcd_out with
     | None -> ()
@@ -236,12 +235,13 @@ let sched =
 
 let corners =
   let doc =
-    "Evaluate $(docv) delay corners in one packed traversal: a \
+    "Verify the design at each of the $(docv) delay corners: a \
      comma-separated list of $(i,name[=dscale[/wscale]]) entries, e.g. \
      $(b,slow,typ,fast) or $(b,typ,hot=1.4/1.2).  Bare names must be one \
      of the presets (slow=1.25, typ=1.0, fast=0.8).  The first corner is \
      the reference: its violations, ordering and convergence flags are \
-     bit-identical to a run without this option.  Overrides any CORNERS \
+     bit-identical to a run without this option; every other corner is \
+     verified like a run with that corner alone.  Overrides any CORNERS \
      directive in the design source."
   in
   let spec_conv =
@@ -383,15 +383,6 @@ let no_window_prune =
   in
   Arg.(value & flag & info [ "no-window-prune" ] ~doc)
 
-let merge_cases =
-  let doc =
-    "Partition the case list by window signature and evaluate one \
-     representative per equivalence class — two cases with equal signatures \
-     provably produce identical waveforms on every net (doc/WINDOWS.md).  \
-     The per-case listing then holds the representatives only."
-  in
-  Arg.(value & flag & info [ "merge-cases" ] ~doc)
-
 let windows =
   let doc =
     "Print the arrival-window listing — every net's conservative transition \
@@ -406,7 +397,7 @@ let verify_term =
     const run $ file $ case_file $ jobs $ sched $ corners $ summary $ xref $ quiet $ paths
     $ corr_advice $ prob $ slack $ diagram $ vcd_out $ phys $ lint $ lint_only
     $ lint_fatal $ lint_json $ profile_out $ metrics_out $ explain $ trace_buffer
-    $ classes $ no_window_prune $ merge_cases $ windows)
+    $ classes $ no_window_prune $ windows)
 
 let verify_cmd =
   let doc = "verify one design and print the error listing (the default command)" in
@@ -414,7 +405,7 @@ let verify_cmd =
 
 let serve_metrics =
   let doc =
-    "On shutdown, write the final run metrics (scald-metrics/6, with the \
+    "On shutdown, write the final run metrics (scald-metrics/7, with the \
      $(b,incr_*)/$(b,svc_*)/$(b,mem_*) service counters) as JSON to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)

@@ -46,12 +46,3 @@ val complete_exn : string list -> case list
 (** @raise Invalid_argument on more than {!max_controls} controls. *)
 
 val pp : Format.formatter -> case -> unit
-
-val partition : signature:(case -> string) -> case list -> case list * int
-(** [partition ~signature cases] — group the cases by signature and keep
-    only the first of each class (in input order), returning the kept
-    representatives and the number of merged (dropped) cases.  With
-    [signature] built on {!Window.case_signature}, two cases in one
-    class provably produce identical waveforms on every net, so the
-    representative's verdicts stand for the whole class
-    ([Verifier.verify ~merge_cases]). *)

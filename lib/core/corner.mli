@@ -8,9 +8,10 @@
     a [1.0] factor as the physical identity, see {!Delay.scale}).
 
     The table travels on the netlist ({!Netlist.set_corners}), declared
-    by an SDL [CORNERS] directive or a [--corners] CLI override, and the
-    evaluator propagates all k corners in one traversal (doc/CORNERS.md
-    explains the lane-sharing scheme). *)
+    by an SDL [CORNERS] directive or a [--corners] CLI override.  An
+    evaluator propagates corner 0 of its netlist's table; a multi-corner
+    verification runs each further corner on its own netlist copy
+    (doc/CORNERS.md). *)
 
 type t = private {
   name : string;

@@ -32,35 +32,97 @@ let kind_name = function
 
 type mode = Fifo | Level
 
-(* Per-corner evaluation state for corners 1..k-1 (doc/CORNERS.md).
-   Corner 0 — the reference — lives in the netlist itself ([n_value] and
-   the evaluator's main caches), so the single-corner path carries no
-   lane state at all.  Each extra lane mirrors the lane-0 memo structure
-   (per-conn input cache, per-net shared record, register materialize
-   memo), keyed on the same [n_gen] stamps: any lane changing a net
-   bumps the stamp, so every lane's caches miss together. *)
-type lane = {
-  l_dscale : float;  (* element-delay scale factor of this corner *)
-  l_wscale : float;  (* interconnection-delay scale factor *)
-  l_value : Waveform.t array;  (* per-net lane waveform; shares the
-                                  lane-0 record whenever equal *)
-  l_cache_gen : int array;
-  l_cache_wf : Waveform.t array;
-  l_net_gen : int array;
-  l_net_wf : Waveform.t array;
-  l_mat_gen : int array;
-  l_mat_wf : Waveform.t array;
-  (* Generation-keyed checker-verdict memo: a lane's verdicts for one
-     instance are a pure function of its input waveforms, so they are
-     re-derived only when some input net's stamp moved — the per-case
-     check sweep of a multi-case run recomputes just the dirty cone.
-     Lane 0 is deliberately not memoized: the single-corner check pass
-     is the historical baseline and stays byte-identical. *)
-  l_chk_gen : int array;  (* per-conn input-net stamp at memo time *)
-  l_chk : Check.t list array;  (* per-inst memoized verdicts *)
-  l_chk_net_gen : int array;
-  l_chk_net : Check.t list array;  (* per-net assertion verdicts *)
-}
+(* One side of the check memo: ascending ids, and per slot the stamp at
+   memo time (-1: nothing memoized) and the verdict. *)
+type memo = { ids : int array; stamp : int array; vs : Check.t list array }
+
+(* A memo over [ids], keeping every slot of [old] whose id is still
+   listed. *)
+let memo_of ?old ids =
+  let stamp = Array.make (Array.length ids) (-1) in
+  let vs = Array.make (Array.length ids) [] in
+  (match old with
+  | None -> ()
+  | Some o ->
+    let j = ref 0 in
+    Array.iteri
+      (fun k id ->
+        while !j < Array.length o.ids && o.ids.(!j) < id do incr j done;
+        if !j < Array.length o.ids && o.ids.(!j) = id then begin
+          stamp.(k) <- o.stamp.(!j);
+          vs.(k) <- o.vs.(!j)
+        end)
+      ids);
+  { ids; stamp; vs }
+
+let ids_where n f =
+  let ids = ref [] in
+  for id = n - 1 downto 0 do
+    if f id then ids := id :: !ids
+  done;
+  Array.of_list !ids
+
+(* Nets that may carry a non-empty evaluation string (§2.8): outputs of
+   gating levels with an input whose directive is longer than one
+   letter, or that inherits such a string through an input without a
+   directive of its own.  A least fixpoint, from the directives out
+   along the fanout. *)
+let string_carriers nl =
+  let carry = Bytes.make (max 1 (Netlist.n_nets nl)) '\000' in
+  let q = Queue.create () in
+  let mark (i : Netlist.inst) =
+    match i.i_prim, i.i_output with
+    | (Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _), Some o
+      when Bytes.get carry o = '\000' ->
+      Bytes.set carry o '\001';
+      Queue.add o q
+    | _ -> ()
+  in
+  Netlist.iter_insts nl (fun i ->
+      if
+        Array.exists
+          (fun (c : Netlist.conn) ->
+            match c.c_directive with _ :: _ :: _ -> true | _ -> false)
+          i.i_inputs
+      then mark i);
+  while not (Queue.is_empty q) do
+    let n = Queue.take q in
+    Netlist.iter_fanout (Netlist.net nl n) (fun id ->
+        let i = Netlist.inst nl id in
+        if
+          Array.exists
+            (fun (c : Netlist.conn) -> c.c_net = n && c.c_directive = [])
+            i.i_inputs
+        then mark i)
+  done;
+  carry
+
+(* The instances whose check can report anything: the checkers, and
+   the gates with an input whose effective directive may start with &A
+   or &H — its own, or an inherited evaluation string. *)
+let reporting_insts nl =
+  let carry = string_carriers nl in
+  let hazard (c : Netlist.conn) =
+    match c.c_directive with
+    | l :: _ -> Directive.check_hazard l
+    | [] -> Bytes.get carry c.c_net <> '\000'
+  in
+  ids_where (Netlist.n_insts nl) (fun id ->
+      let i = Netlist.inst nl id in
+      match i.i_prim with
+      | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
+      | Primitive.Min_pulse_width _ ->
+        true
+      | Primitive.Gate _ -> Array.exists hazard i.i_inputs
+      | Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
+      | Primitive.Const _ ->
+        false)
+
+(* The nets whose stable assertion is checked: asserted and driven. *)
+let asserted_driven nl =
+  ids_where (Netlist.n_nets nl) (fun id ->
+      let n = Netlist.net nl id in
+      n.n_assertion <> None && n.n_driver <> None)
 
 type t = {
   nl : Netlist.t;
@@ -93,15 +155,25 @@ type t = {
   (* Register data-materialization memo, same generation key. *)
   mat_gen : int array;
   mat_wf : Waveform.t array;
-  (* Multi-corner lanes: corner 0 is evaluated through the fields above;
-     [lanes] holds corners 1..k-1 and is empty for a single-corner
-     netlist, so the historical path pays nothing. *)
-  corners : Corner.table;
-  c0_dscale : float;
-  c0_wscale : float;
-  lanes : lane array;
-  mutable lanes_shared : int;
-  mutable evals_saved : int;
+  (* The one delay corner this evaluator propagates: corner 0 of the
+     netlist's table at creation (doc/CORNERS.md). *)
+  corner : Corner.t;
+  (* Generation-keyed check memo: a checker's verdict is a pure function
+     of its input waveforms and its own parameters, so it is re-derived
+     only when some input net's stamp moved — across the cases of a
+     sweep, and across the edits of a serve session, only the dirty
+     cone is re-checked.  Dense over exactly the instances and nets whose
+     check can report (every other check is empty), so the check pass
+     visits nothing else; an instance slot's stamp is the sum of its
+     input nets' [n_gen] (stamps only grow, so the sum moves whenever
+     any of them does), a net slot's its own [n_gen].  An edit that can
+     change which instances or nets report ([touch_inst],
+     [reassert_net]) marks the index stale; the next [check] rebuilds
+     it, keeping the surviving slots. *)
+  mutable memo_insts : memo;
+  mutable memo_nets : memo;
+  mutable memo_stale : bool;
+  mutable check_hits : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   (* Frozen instances are skipped at enqueue time.  Window pruning
@@ -147,29 +219,6 @@ let create ?(mode = Level) ?sched ?window nl =
   let scc_evals =
     match sched with None -> [||] | Some s -> Array.make (Sched.n_cyclic s) 0
   in
-  let corners = Netlist.corners nl in
-  let n_nets = max 1 (Netlist.n_nets nl) in
-  let lanes =
-    Array.init
-      (Array.length corners - 1)
-      (fun i ->
-        let c = corners.(i + 1) in
-        {
-          l_dscale = c.Corner.delay_scale;
-          l_wscale = c.Corner.wire_scale;
-          l_value = Array.make n_nets dummy_wf;
-          l_cache_gen = Array.make (max 1 !n_conns) (-1);
-          l_cache_wf = Array.make (max 1 !n_conns) dummy_wf;
-          l_net_gen = Array.make n_nets (-1);
-          l_net_wf = Array.make n_nets dummy_wf;
-          l_mat_gen = Array.make (max 1 n_insts) (-1);
-          l_mat_wf = Array.make (max 1 n_insts) dummy_wf;
-          l_chk_gen = Array.make (max 1 !n_conns) (-1);
-          l_chk = Array.make (max 1 n_insts) [];
-          l_chk_net_gen = Array.make n_nets (-1);
-          l_chk_net = Array.make n_nets [];
-        })
-  in
   {
     nl;
     mode;
@@ -190,12 +239,11 @@ let create ?(mode = Level) ?sched ?window nl =
     net_wf = Array.make (max 1 (Netlist.n_nets nl)) dummy_wf;
     mat_gen = Array.make (max 1 n_insts) (-1);
     mat_wf = Array.make (max 1 n_insts) dummy_wf;
-    corners;
-    c0_dscale = corners.(0).Corner.delay_scale;
-    c0_wscale = corners.(0).Corner.wire_scale;
-    lanes;
-    lanes_shared = 0;
-    evals_saved = 0;
+    corner = (Netlist.corners nl).(0);
+    memo_insts = memo_of (reporting_insts nl);
+    memo_nets = memo_of (asserted_driven nl);
+    memo_stale = false;
+    check_hits = 0;
     cache_hits = 0;
     cache_misses = 0;
     window;
@@ -204,7 +252,7 @@ let create ?(mode = Level) ?sched ?window nl =
        (match window with
        | Some w ->
          (* Statically proven checkers never need evaluating: their
-            verdict is served by [check_inst_lane], and evaluating a
+            verdict is served by [check_inst], and evaluating a
             checker computes nothing (no output net).  Frozen before the
             first run. *)
          for id = 0 to n_insts - 1 do
@@ -229,8 +277,6 @@ let create ?(mode = Level) ?sched ?window nl =
 
 let netlist t = t.nl
 let mode t = t.mode
-let corners t = t.corners
-let n_corners t = Array.length t.corners
 
 let events t = t.events
 let evaluations t = t.evals
@@ -250,8 +296,7 @@ let reset_counters t =
   t.pruned_evals <- 0;
   t.window_evals <- 0;
   t.window_checks <- 0;
-  t.lanes_shared <- 0;
-  t.evals_saved <- 0;
+  t.check_hits <- 0;
   Array.fill t.evals_by_kind 0 n_kinds 0
 
 type counters = {
@@ -267,13 +312,9 @@ type counters = {
   c_cache_hits : int;
   c_cache_misses : int;
   c_pruned_evals : int;
-  c_corners : int;
-  c_corner_lanes_shared : int;
-  c_corner_evals_saved : int;
   c_window_insts : int;
   c_window_nets : int;
   c_window_unbounded : int;
-  c_window_lanes_static : int;
   c_window_evals : int;
   c_window_checks : int;
   c_evals_by_kind : (string * int) list;
@@ -303,17 +344,12 @@ let counters t =
     c_cache_hits = t.cache_hits;
     c_cache_misses = t.cache_misses;
     c_pruned_evals = t.pruned_evals;
-    c_corners = Array.length t.corners;
-    c_corner_lanes_shared = t.lanes_shared;
-    c_corner_evals_saved = t.evals_saved;
     c_window_insts =
       (match t.window with Some w -> Window.n_insts_proven w | None -> 0);
     c_window_nets =
       (match t.window with Some w -> Window.n_nets_proven w | None -> 0);
     c_window_unbounded =
       (match t.window with Some w -> snd (Window.counts w) | None -> 0);
-    c_window_lanes_static =
-      (match t.window with Some w -> Window.n_lanes_static w | None -> 0);
     c_window_evals = t.window_evals;
     c_window_checks = t.window_checks;
     c_evals_by_kind =
@@ -334,13 +370,9 @@ let zero_counters =
     c_cache_hits = 0;
     c_cache_misses = 0;
     c_pruned_evals = 0;
-    c_corners = 0;
-    c_corner_lanes_shared = 0;
-    c_corner_evals_saved = 0;
     c_window_insts = 0;
     c_window_nets = 0;
     c_window_unbounded = 0;
-    c_window_lanes_static = 0;
     c_window_evals = 0;
     c_window_checks = 0;
     c_evals_by_kind = [];
@@ -377,14 +409,10 @@ let merge_counters a b =
     c_cache_hits = a.c_cache_hits + b.c_cache_hits;
     c_cache_misses = a.c_cache_misses + b.c_cache_misses;
     c_pruned_evals = a.c_pruned_evals + b.c_pruned_evals;
-    c_corners = max a.c_corners b.c_corners;
-    c_corner_lanes_shared = a.c_corner_lanes_shared + b.c_corner_lanes_shared;
-    c_corner_evals_saved = a.c_corner_evals_saved + b.c_corner_evals_saved;
     (* the proof-shape fields are properties of the analysis: max *)
     c_window_insts = max a.c_window_insts b.c_window_insts;
     c_window_nets = max a.c_window_nets b.c_window_nets;
     c_window_unbounded = max a.c_window_unbounded b.c_window_unbounded;
-    c_window_lanes_static = max a.c_window_lanes_static b.c_window_lanes_static;
     c_window_evals = a.c_window_evals + b.c_window_evals;
     c_window_checks = a.c_window_checks + b.c_window_checks;
     c_evals_by_kind = merge_by_kind a.c_evals_by_kind b.c_evals_by_kind;
@@ -492,11 +520,9 @@ let wire_delay_of t (n : Netlist.net) =
   match n.n_wire_delay with Some d -> d | None -> Netlist.default_wire_delay t.nl
 
 (* Corner scaling with the reference shortcut: a factor of exactly 1.0
-   returns the very same delay value, so the single-corner (and
-   reference-lane) path is byte-identical to the unscaled evaluator. *)
+   returns the very same delay value, so a [typ] run is byte-identical
+   to the unscaled evaluator. *)
 let scaled f d = if f = 1.0 then d else Delay.scale f d
-
-let lane_dscale t lane = if lane = 0 then t.c0_dscale else t.lanes.(lane - 1).l_dscale
 
 let apply_delay d wf =
   if Delay.equal d Delay.zero then wf
@@ -538,7 +564,7 @@ let input_waveform t (inst : Netlist.inst) i =
           let wf = n.n_value in
           let wf =
             if Directive.zero_wire letter then wf
-            else apply_delay (scaled t.c0_wscale (wire_delay_of t n)) wf
+            else apply_delay (scaled t.corner.Corner.wire_scale (wire_delay_of t n)) wf
           in
           t.net_gen.(c.c_net) <- n.n_gen;
           t.net_wf.(c.c_net) <- wf;
@@ -550,66 +576,12 @@ let input_waveform t (inst : Netlist.inst) i =
         let wf = n.n_value in
         let wf = if c.c_invert then Waveform.map Tvalue.lnot wf else wf in
         if Directive.zero_wire letter then wf
-        else apply_delay (scaled t.c0_wscale (wire_delay_of t n)) wf
+        else apply_delay (scaled t.corner.Corner.wire_scale (wire_delay_of t n)) wf
       end
     in
     t.cache_gen.(idx) <- n.n_gen;
     t.cache_wf.(idx) <- wf;
     wf
-  end
-
-(* A lane shares lane 0's derived input (and its memo record) when the
-   raw lane waveform is the lane-0 record itself and either the wire
-   scale matches lane 0's or the waveform is a single segment — skew is
-   the only thing a delay can add to a constant, and skew is
-   unobservable on one segment (materialization drops it, the pointwise
-   maps ignore it). *)
-let lane_shares_input t (ln : lane) (n : Netlist.net) =
-  ln.l_value.(n.n_id) == n.n_value
-  && (ln.l_wscale = t.c0_wscale || Waveform.n_segments n.n_value = 1)
-
-let input_waveform_lane t lane (inst : Netlist.inst) i =
-  if lane = 0 then input_waveform t inst i
-  else begin
-    let ln = t.lanes.(lane - 1) in
-    let c = inst.i_inputs.(i) in
-    let n = Netlist.net t.nl c.c_net in
-    if lane_shares_input t ln n then input_waveform t inst i
-    else begin
-      let idx = t.conn_base.(inst.i_id) + i in
-      if ln.l_cache_gen.(idx) = n.n_gen then begin
-        t.cache_hits <- t.cache_hits + 1;
-        ln.l_cache_wf.(idx)
-      end
-      else begin
-        t.cache_misses <- t.cache_misses + 1;
-        let raw = ln.l_value.(c.c_net) in
-        let wf =
-          if (not c.c_invert) && c.c_directive = [] then begin
-            if ln.l_net_gen.(c.c_net) = n.n_gen then ln.l_net_wf.(c.c_net)
-            else begin
-              let letter = head_letter n.n_eval_str in
-              let wf =
-                if Directive.zero_wire letter then raw
-                else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) raw
-              in
-              ln.l_net_gen.(c.c_net) <- n.n_gen;
-              ln.l_net_wf.(c.c_net) <- wf;
-              wf
-            end
-          end
-          else begin
-            let letter = head_letter (effective_directive t inst i) in
-            let wf = if c.c_invert then Waveform.map Tvalue.lnot raw else raw in
-            if Directive.zero_wire letter then wf
-            else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) wf
-          end
-        in
-        ln.l_cache_gen.(idx) <- n.n_gen;
-        ln.l_cache_wf.(idx) <- wf;
-        wf
-      end
-    end
   end
 
 (* ---- primitive models --------------------------------------------------- *)
@@ -729,27 +701,6 @@ let materialized_data t (inst : Netlist.inst) =
     m
   end
 
-let materialized_data_lane t lane (inst : Netlist.inst) =
-  if lane = 0 then materialized_data t inst
-  else
-    let ln = t.lanes.(lane - 1) in
-    let n = Netlist.net t.nl inst.i_inputs.(0).c_net in
-    if lane_shares_input t ln n then materialized_data t inst
-    else begin
-      let id = inst.i_id in
-      if ln.l_mat_gen.(id) = n.n_gen then begin
-        t.cache_hits <- t.cache_hits + 1;
-        ln.l_mat_wf.(id)
-      end
-      else begin
-        t.cache_misses <- t.cache_misses + 1;
-        let m = Waveform.materialize (input_waveform_lane t lane inst 0) in
-        ln.l_mat_gen.(id) <- n.n_gen;
-        ln.l_mat_wf.(id) <- m;
-        m
-      end
-    end
-
 (* Transparent-latch value as a function of the data and enable values
    at an instant; the result is then delayed by the latch delay. *)
 let latch_value d e =
@@ -799,12 +750,12 @@ let paint_change_windows ~period ~d windows wf =
 
 (* ---- instance evaluation ------------------------------------------------ *)
 
-(* One lane's output: the primitive models are corner-invariant; only
-   the element and wire delays differ per lane, so the body is shared
-   and the lane selects the input derivation and the delay scale. *)
-let eval_output_lane t lane (inst : Netlist.inst) =
-  let input i = input_waveform_lane t lane inst i in
-  let sc d = scaled (lane_dscale t lane) d in
+(* The output an instance computes from its current inputs, with the
+   element delays scaled to the evaluator's corner; [None] for checkers,
+   which have no output. *)
+let eval_output t (inst : Netlist.inst) =
+  let input i = input_waveform t inst i in
+  let sc d = scaled t.corner.Corner.delay_scale d in
   match inst.i_prim with
   | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
   | Primitive.Min_pulse_width _ ->
@@ -849,7 +800,7 @@ let eval_output_lane t lane (inst : Netlist.inst) =
     Some (paint_change_windows ~period:(period t) ~d (Waveform.change_windows s) out)
   | Primitive.Reg { delay; has_set_reset } ->
     let delay = sc delay in
-    let data_m = lazy (materialized_data_lane t lane inst) in
+    let data_m = lazy (materialized_data t inst) in
     let clock = input 1 in
     let out = reg_output ~period:(period t) ~delay ~data_m ~clock in
     if not has_set_reset then Some out
@@ -891,93 +842,25 @@ let output_eval_str t (inst : Netlist.inst) =
   | Primitive.Const _ ->
     []
 
-(* Equality up to skew on a constant: [Waveform.equal] compares the
-   early/late skew window, but on a single-segment waveform skew is
-   unobservable (materialization drops it, [value_at] and the pointwise
-   maps ignore it), so two constants with the same value are the same
-   waveform for every downstream purpose.  Canonicalizing through this
-   lets a lane share the lane-0 record even when a scaled delay left a
-   different (invisible) skew on a constant. *)
-let same_modulo_const_skew a b =
-  a == b || Waveform.equal a b
-  || (Waveform.n_segments a = 1 && Waveform.n_segments b = 1
-     && Waveform.period a = Waveform.period b
-     && Tvalue.equal (Waveform.value_at a 0) (Waveform.value_at b 0))
-
-(* A lane's evaluation of an instance is skippable when every input is
-   pointer-shared with lane 0 *and* constant: delays (however scaled)
-   are invisible on constants, so the lane's output equals the lane-0
-   output exactly. *)
-let lane_eval_skippable t (ln : lane) (inst : Netlist.inst) =
-  let n = Array.length inst.i_inputs in
-  let rec go i =
-    i >= n
-    || (let c = inst.i_inputs.(i) in
-        let nv = (Netlist.net t.nl c.c_net).n_value in
-        ln.l_value.(c.c_net) == nv && Waveform.n_segments nv = 1 && go (i + 1))
-  in
-  go 0
-
 let eval_inst t inst_id =
   let inst = Netlist.inst t.nl inst_id in
   t.evals <- t.evals + 1;
   t.evals_by_kind.(kind_tag inst.i_prim) <-
     t.evals_by_kind.(kind_tag inst.i_prim) + 1;
-  match eval_output_lane t 0 inst with
-  | None -> ()
-  | Some wf -> (
-    match inst.i_output with
-    | None -> ()
-    | Some out_id ->
-      let n = Netlist.net t.nl out_id in
-      let wf = apply_case t out_id wf in
-      let eval_str = output_eval_str t inst in
-      let changed =
-        not (Waveform.equal wf n.n_value) || eval_str <> n.n_eval_str
-      in
-      (* Lane 0 assigns first so the lanes below canonicalize against
-         the *new* reference waveform. *)
-      if changed then assign n wf eval_str;
-      let lane_changed = ref false in
-      for c = 1 to Array.length t.lanes do
-        let ln = t.lanes.(c - 1) in
-        let prev = ln.l_value.(out_id) in
-        let next =
-          if lane_eval_skippable t ln inst then begin
-            t.evals_saved <- t.evals_saved + 1;
-            n.n_value
-          end
-          else begin
-            let o =
-              apply_case t out_id (Option.get (eval_output_lane t c inst))
-            in
-            (* Converge storage: a lane output equal to the reference
-               (or to its own previous value) keeps the existing record,
-               so pointer inequality below is exact change detection. *)
-            if same_modulo_const_skew o n.n_value then begin
-              if o != n.n_value then t.lanes_shared <- t.lanes_shared + 1;
-              n.n_value
-            end
-            else if same_modulo_const_skew o prev then prev
-            else o
-          end
-        in
-        if next != prev then begin
-          ln.l_value.(out_id) <- next;
-          lane_changed := true
-        end
-      done;
-      if changed || !lane_changed then begin
-        (* A lane-only change must still invalidate the generation-keyed
-           caches and wake the fanout; lane 0's stamp was already bumped
-           by [assign]. *)
-        if not changed then n.n_gen <- n.n_gen + 1;
-        t.events <- t.events + 1;
-        (match t.on_event with
-        | None -> ()
-        | Some f -> f ~inst_id ~net_id:out_id);
-        enqueue_fanout t out_id
-      end)
+  match eval_output t inst, inst.i_output with
+  | Some wf, Some out_id ->
+    let n = Netlist.net t.nl out_id in
+    let wf = apply_case t out_id wf in
+    let eval_str = output_eval_str t inst in
+    if not (Waveform.equal wf n.n_value) || eval_str <> n.n_eval_str then begin
+      assign n wf eval_str;
+      t.events <- t.events + 1;
+      (match t.on_event with
+      | None -> ()
+      | Some f -> f ~inst_id ~net_id:out_id);
+      enqueue_fanout t out_id
+    end
+  | (None | Some _), _ -> ()
 
 (* Next ready instance in level order: advance the cursor to the first
    non-empty bucket.  Fanout edges never reach below the current level
@@ -1061,14 +944,6 @@ let fixpoint t =
      list instead of silently coalescing away its re-evaluations. *)
   if not t.converged then clear_work t
 
-(* (Re-)source a net's lane values from the freshly assigned lane-0
-   waveform: initial values are corner-independent (assertions and case
-   mappings carry no delay), so every lane starts on the shared record. *)
-let reset_lanes t (n : Netlist.net) =
-  for c = 1 to Array.length t.lanes do
-    t.lanes.(c - 1).l_value.(n.n_id) <- n.n_value
-  done
-
 (* A case as an ascending id list, the last binding of an id winning. *)
 let sorted_case case =
   let rec dedup = function
@@ -1084,9 +959,7 @@ let run ?(case = []) t =
   if not t.initialized then begin
     t.initialized <- true;
     List.iter (fun (id, v) -> t.case.(id) <- Some v) case;
-    Netlist.iter_nets t.nl (fun n ->
-        assign n (initial_value t n) [];
-        reset_lanes t n);
+    Netlist.iter_nets t.nl (fun n -> assign n (initial_value t n) []);
     Netlist.iter_insts t.nl (fun i -> enqueue t i.i_id)
   end
   else begin
@@ -1098,9 +971,7 @@ let run ?(case = []) t =
         t.case.(id) <- w;
         let n = Netlist.net t.nl id in
         (match n.n_driver with
-        | None ->
-          assign n (initial_value t n) n.n_eval_str;
-          reset_lanes t n
+        | None -> assign n (initial_value t n) n.n_eval_str
         | Some d -> enqueue t d);
         enqueue_fanout t id
       end
@@ -1121,9 +992,6 @@ let run ?(case = []) t =
 
 let value t id = (Netlist.net t.nl id).n_value
 
-let value_lane t lane id =
-  if lane = 0 then (Netlist.net t.nl id).n_value else t.lanes.(lane - 1).l_value.(id)
-
 (* ---- incremental-service hooks (lib/incr, doc/SERVICE.md) ---------------- *)
 
 (* External generation injection: a service that edits a net's
@@ -1141,11 +1009,10 @@ let touch_net t net_id =
    [run]); driven nets re-evaluate their driver so the new assertion is
    checked against a fresh value. *)
 let reassert_net t net_id =
+  t.memo_stale <- true;
   let n = Netlist.net t.nl net_id in
   (match n.n_driver with
-  | None ->
-    assign n (initial_value t n) n.n_eval_str;
-    reset_lanes t n
+  | None -> assign n (initial_value t n) n.n_eval_str
   | Some d ->
     n.n_gen <- n.n_gen + 1;
     enqueue t d);
@@ -1182,14 +1049,34 @@ let rewindow t =
    and the next [rewindow] re-derives the frozen set from it. *)
 let set_window t w = t.window <- w
 
-let enqueue_inst t inst_id = enqueue t inst_id
+(* The position of [id] in an ascending id array, or -1. *)
+let find_slot ids id =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let m = ids.(mid) in
+      if m = id then mid else if m < id then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length ids)
+
+(* An instance's own parameters changed (element delay, checker margins,
+   a connection directive): no input stamp moves, so its memoized
+   verdict is dropped explicitly before it is re-evaluated, and the
+   index is rebuilt — a directive can make gates report. *)
+let touch_inst t inst_id =
+  let m = t.memo_insts in
+  let slot = find_slot m.ids inst_id in
+  if slot >= 0 then m.stamp.(slot) <- -1;
+  t.memo_stale <- true;
+  enqueue t inst_id
 
 (* ---- checking ------------------------------------------------------------ *)
 
 let net_name t id = (Netlist.net t.nl id).n_name
 
-let check_inst_compute t lane (inst : Netlist.inst) =
-  let input i = input_waveform_lane t lane inst i in
+let check_compute t (inst : Netlist.inst) =
+  let input i = input_waveform t inst i in
   match inst.i_prim with
   | Primitive.Setup_hold_check { setup; hold } ->
     let data = input 0 and ck = input 1 in
@@ -1234,13 +1121,23 @@ let check_inst_compute t lane (inst : Netlist.inst) =
   | Primitive.Const _ ->
     []
 
-(* Lane verdicts are served from the generation-keyed memo whenever no
-   input net's stamp moved since the last derivation — across the cases
-   of a multi-case run only the dirty cone is re-checked.  The memo is
-   deterministic under case sharding for the same reason the input
-   caches are: warm-start priming replays the preceding case's lane
-   checks, leaving every stamp exactly where the sequential run's did. *)
-let check_inst_lane t lane (inst : Netlist.inst) =
+(* Sum of the instance's input-net generation stamps: the memo key. *)
+let input_stamp t (inst : Netlist.inst) =
+  let s = ref 0 in
+  for i = 0 to Array.length inst.i_inputs - 1 do
+    s := !s + (Netlist.net t.nl inst.i_inputs.(i).c_net).n_gen
+  done;
+  !s
+
+let hit t =
+  t.cache_hits <- t.cache_hits + 1;
+  t.check_hits <- t.check_hits + 1
+
+(* The memo is deterministic under case sharding for the same reason
+   the input caches are: warm-start priming replays the preceding case's
+   check pass, leaving every slot exactly where the sequential run's
+   did. *)
+let check_inst t (inst : Netlist.inst) slot =
   match t.window with
   | Some w when Window.inst_proven w inst.i_id ->
     (* statically proven clean at every corner: serve the verdict the
@@ -1249,73 +1146,43 @@ let check_inst_lane t lane (inst : Netlist.inst) =
     t.window_checks <- t.window_checks + 1;
     []
   | _ ->
-  if lane = 0 then check_inst_compute t 0 inst
-  else begin
-    let ln = t.lanes.(lane - 1) in
-    let n_in = Array.length inst.i_inputs in
-    if n_in = 0 then []
-    else begin
-      let base = t.conn_base.(inst.i_id) in
-      let rec fresh i =
-        i >= n_in
-        || (ln.l_chk_gen.(base + i)
-              = (Netlist.net t.nl inst.i_inputs.(i).c_net).n_gen
-           && fresh (i + 1))
-      in
-      if fresh 0 then begin
-        t.cache_hits <- t.cache_hits + 1;
-        ln.l_chk.(inst.i_id)
-      end
-      else begin
-        t.cache_misses <- t.cache_misses + 1;
-        let r = check_inst_compute t lane inst in
-        for i = 0 to n_in - 1 do
-          ln.l_chk_gen.(base + i) <-
-            (Netlist.net t.nl inst.i_inputs.(i).c_net).n_gen
-        done;
-        ln.l_chk.(inst.i_id) <- r;
-        r
-      end
-    end
-  end
-
-let check_inst t inst = check_inst_lane t 0 inst
-
-let check_one t inst_id = check_inst t (Netlist.inst t.nl inst_id)
-
-let check_net_compute t lane net_id =
-  let n = Netlist.net t.nl net_id in
-  match n.n_assertion, n.n_driver with
-  | Some a, Some _ ->
-    Check.check_stable_assertion ~signal:n.n_name ~tb:(Netlist.timebase t.nl) a
-      (value_lane t lane net_id)
-  | (None | Some _), _ -> []
-
-let check_net_lane t lane net_id =
-  match t.window with
-  | Some w when Window.net_proven w net_id ->
-    t.window_checks <- t.window_checks + 1;
-    []
-  | _ ->
-  if lane = 0 then check_net_compute t 0 net_id
-  else begin
-    let ln = t.lanes.(lane - 1) in
-    let n = Netlist.net t.nl net_id in
-    if n.n_assertion = None || n.n_driver = None then []
-    else if ln.l_chk_net_gen.(net_id) = n.n_gen then begin
-      t.cache_hits <- t.cache_hits + 1;
-      ln.l_chk_net.(net_id)
+    let m = t.memo_insts and stamp = input_stamp t inst in
+    if m.stamp.(slot) = stamp then begin
+      hit t;
+      m.vs.(slot)
     end
     else begin
       t.cache_misses <- t.cache_misses + 1;
-      let r = check_net_compute t lane net_id in
-      ln.l_chk_net_gen.(net_id) <- n.n_gen;
-      ln.l_chk_net.(net_id) <- r;
+      let r = check_compute t inst in
+      m.stamp.(slot) <- stamp;
+      m.vs.(slot) <- r;
       r
     end
-  end
 
-let check_net t net_id = check_net_lane t 0 net_id
+(* The stable-assertion check of a driven net, keyed on its own stamp
+   (an assertion edit re-drives the net, which moves it). *)
+let check_net t (n : Netlist.net) slot =
+  match t.window, n.n_assertion with
+  | Some w, _ when Window.net_proven w n.n_id ->
+    t.window_checks <- t.window_checks + 1;
+    []
+  | _, None -> []
+  | _, Some a ->
+    let m = t.memo_nets in
+    if m.stamp.(slot) = n.n_gen then begin
+      hit t;
+      m.vs.(slot)
+    end
+    else begin
+      t.cache_misses <- t.cache_misses + 1;
+      let r =
+        Check.check_stable_assertion ~signal:n.n_name ~tb:(Netlist.timebase t.nl) a
+          n.n_value
+      in
+      m.stamp.(slot) <- n.n_gen;
+      m.vs.(slot) <- r;
+      r
+    end
 
 let divergence t =
   if t.converged then []
@@ -1340,12 +1207,23 @@ let divergence t =
       };
     ]
 
-let check_lane t lane =
+(* One pass over the memo slots in id order — instances, then nets;
+   every check outside them is empty. *)
+let check t =
+  if t.memo_stale then begin
+    t.memo_insts <- memo_of ~old:t.memo_insts (reporting_insts t.nl);
+    t.memo_nets <- memo_of ~old:t.memo_nets (asserted_driven t.nl);
+    t.memo_stale <- false
+  end;
   let acc = ref [] in
   let keep = function [] -> () | vs -> acc := vs :: !acc in
-  Netlist.iter_insts t.nl (fun inst -> keep (check_inst_lane t lane inst));
-  Netlist.iter_nets t.nl (fun n -> keep (check_net_lane t lane n.n_id));
+  Array.iteri
+    (fun slot id -> keep (check_inst t (Netlist.inst t.nl id) slot))
+    t.memo_insts.ids;
+  Array.iteri
+    (fun slot id -> keep (check_net t (Netlist.net t.nl id) slot))
+    t.memo_nets.ids;
   let base = List.concat (List.rev !acc) in
   divergence t @ base
 
-let check t = check_lane t 0
+let check_hits t = t.check_hits

@@ -24,8 +24,13 @@
 
     Both disciplines reach the same fixpoint — same waveforms, same
     violations — they differ only in how many evaluations it takes.
-    Input waveforms are additionally memoized per connection, keyed on a
-    per-net generation stamp, in either mode. *)
+    Input waveforms are additionally memoized per connection, and check
+    verdicts per checker, keyed on per-net generation stamps, in either
+    mode.
+
+    An evaluator propagates one delay corner: corner 0 of its netlist's
+    {!Corner.table}.  A multi-corner run verifies each further corner on
+    its own {!Netlist.copy} (doc/CORNERS.md). *)
 
 type t
 
@@ -43,7 +48,7 @@ val create :
     [window] enables arrival-window pruning (doc/WINDOWS.md): checkers
     the analysis statically proves clean at every corner
     ({!Window.inst_proven}) are frozen from creation and their empty
-    verdicts served without evaluation on every lane; nets whose stable
+    verdicts served without evaluation; nets whose stable
     assertions are proven ({!Window.net_proven}) are served likewise.
     The analysis must describe the same structure and must have been
     given the union of the mapped nets of every case that will be run
@@ -53,13 +58,6 @@ val create :
 val mode : t -> mode
 
 val netlist : t -> Netlist.t
-
-val corners : t -> Corner.table
-(** The corner table captured from the netlist at {!create} time.
-    Corner 0 is the reference: its waveforms and verdicts are those of a
-    plain single-corner run (doc/CORNERS.md). *)
-
-val n_corners : t -> int
 
 val run : ?case:(int * Tvalue.t) list -> t -> unit
 (** Evaluate to a fixpoint under the given case mapping (net id to the
@@ -71,44 +69,21 @@ val check : t -> Check.t list
     stable-assertion checks against the current signal values, plus a
     {!Check.No_convergence} report if the last {!run} hit the evaluation
     bound.  In {!Level} mode the report names the feedback region whose
-    relaxation budget was exceeded. *)
+    relaxation budget was exceeded.  The list is per-instance verdicts
+    in id order, then per-net verdicts in id order, with the divergence
+    report in front.
 
-val check_one : t -> int -> Check.t list
-(** The checks of a single instance (by id): checker primitives report
-    their margins, gates their [&A]/[&H] hazard scans, everything else
-    reports nothing.  [check] is the concatenation of [check_one] over
-    all instances (in id order) followed by {!check_net} over all nets
-    (in id order), with {!divergence} in front — exposed so an
-    incremental service can cache per-instance verdicts keyed on input
-    generation stamps and still reproduce a cold run's list exactly. *)
+    Verdicts are memoized: a checker (or [&A]/[&H] gate, or asserted
+    driven net) whose input stamps have not moved since its last check
+    serves the stored verdict, so a case sweep or an incremental
+    re-verify re-checks only its dirty cone ({!check_hits}). *)
 
-val check_net : t -> int -> Check.t list
-(** The stable-assertion check of a single net (by id); empty unless the
-    net is both asserted and driven. *)
-
-val check_lane : t -> int -> Check.t list
-(** [check_lane t lane] — the full {!check} list evaluated against lane
-    [lane]'s waveforms ([0 <= lane < n_corners]).  [check t] is
-    [check_lane t 0].  The divergence report is shared: convergence is a
-    property of the whole packed run. *)
-
-val check_inst_lane : t -> int -> Netlist.inst -> Check.t list
-(** Per-lane {!check_one} (taking the instance record directly). *)
-
-val check_net_lane : t -> int -> int -> Check.t list
-(** Per-lane {!check_net}: [check_net_lane t lane net_id]. *)
-
-val divergence : t -> Check.t list
-(** The {!Check.No_convergence} report of the most recent {!run}, or
-    [[]] if it converged. *)
+val check_hits : t -> int
+(** Verdicts served from the check memo since creation (or the last
+    {!reset_counters}); also counted in [c_cache_hits]. *)
 
 val value : t -> int -> Waveform.t
-(** Current waveform of a net (the reference corner's). *)
-
-val value_lane : t -> int -> int -> Waveform.t
-(** [value_lane t lane net_id] — the net's waveform on the given corner
-    lane; [value_lane t 0] is {!value}.  Lanes whose waveform equals the
-    reference return the very same record (see [c_corner_lanes_shared]). *)
+(** Current waveform of a net. *)
 
 (** {2 Incremental-service hooks}
 
@@ -148,11 +123,11 @@ val set_window : t -> Window.t option -> unit
     {!rewindow} (after {!refreeze}) so the frozen set matches the new
     proofs. *)
 
-val enqueue_inst : t -> int -> unit
-(** Put one instance on the work list for the next {!run} (a no-op if
-    frozen or already queued).  Used to re-evaluate an instance whose
-    own parameters — element delay, checker margins — changed without
-    any input net changing. *)
+val touch_inst : t -> int -> unit
+(** Drop the instance's memoized verdict and put it on the work list for
+    the next {!run} (a no-op if frozen or already queued).  Used for an
+    instance whose own parameters — element delay, checker margins, a
+    connection directive — changed without any input net changing. *)
 
 val input_waveform : t -> Netlist.inst -> int -> Waveform.t
 (** The waveform a primitive instance actually sees on input [i]: the
@@ -160,12 +135,6 @@ val input_waveform : t -> Netlist.inst -> int -> Waveform.t
     evaluation directives applied.  Exposed for reporting (the Figure
     3-11 listing prints the values seen by the checker).  Memoized per
     connection on the driving net's generation stamp. *)
-
-val input_waveform_lane : t -> int -> Netlist.inst -> int -> Waveform.t
-(** Per-lane {!input_waveform}: [input_waveform_lane t lane inst i] is
-    the waveform the instance sees on input [i] with lane [lane]'s
-    wire-delay scale applied.  [input_waveform_lane t 0] is
-    {!input_waveform}. *)
 
 val events : t -> int
 (** Number of events processed so far: an event is an output being given
@@ -215,18 +184,12 @@ type counters = {
   c_sccs : int;  (** strongly connected components in the schedule *)
   c_max_scc_size : int;  (** largest component ([1] when acyclic) *)
   c_cache_hits : int;
-      (** input-waveform / register-data cache hits (generation match) *)
+      (** input-waveform / register-data cache and check-memo hits
+          (generation match) *)
   c_cache_misses : int;  (** cache fills *)
   c_pruned_evals : int;
       (** evaluations skipped on instances outside an edit's dirty cone
           ({!refreeze}); [0] outside the incremental service *)
-  c_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
-  c_corner_lanes_shared : int;
-      (** lane outputs that converged to the reference waveform and were
-          stored as the shared record instead of their own *)
-  c_corner_evals_saved : int;
-      (** lane evaluations skipped outright because every input was
-          constant and pointer-shared with the reference lane *)
   c_window_insts : int;
       (** checkers statically proven clean by the window analysis and
           frozen from creation; [0] without a window table *)
@@ -234,9 +197,6 @@ type counters = {
       (** driven nets whose stable assertion is statically proven *)
   c_window_unbounded : int;
       (** nets with [Top] windows at the reference corner *)
-  c_window_lanes_static : int;
-      (** extra corner lanes whose window map is identical to the
-          reference's — provably shareable before any evaluation *)
   c_window_evals : int;
       (** evaluations skipped on window-frozen checkers *)
   c_window_checks : int;
@@ -251,8 +211,8 @@ val counters : t -> counters
 (** Snapshot of the counters accumulated since creation (or the last
     {!reset_counters}).  The schedule-shape fields ([c_sched_levels],
     [c_sccs], [c_max_scc_size]) and the proof-shape fields
-    ([c_window_insts], [c_window_nets], [c_window_unbounded],
-    [c_window_lanes_static]) are properties of the netlist and its
+    ([c_window_insts], [c_window_nets], [c_window_unbounded]) are
+    properties of the netlist and its
     analysis, not accumulators — {!reset_counters} leaves them
     readable. *)
 

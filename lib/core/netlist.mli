@@ -97,10 +97,11 @@ val trim : t -> unit
 
 val copy : t -> t
 (** A structural copy with fresh net records, for evaluating the same
-    circuit on several domains at once: net ids, instance ids and names
-    are identical to the original, but the per-net evaluation state
-    ([n_value], [n_eval_str]) is private to the copy.  Instance records
-    and waveform values are immutable and shared. *)
+    circuit on several domains at once, or at another delay corner: net
+    ids, instance ids and names are identical to the original, but the
+    per-net state — evaluation state ([n_value], [n_eval_str]) and net
+    parameters — and the corner table are private to the copy.
+    Instance records and waveform values are immutable and shared. *)
 
 val net : t -> int -> net
 val inst : t -> int -> inst
@@ -143,9 +144,12 @@ val find_inst : t -> string -> int option
     changes; only parameters do.  Note that {!copy} shares the instance
     array and the connection arrays with the original, so instance-level
     edits ({!set_element_delay}, {!replace_prim},
-    {!set_input_directive}) are visible through existing copies; the
-    incremental service is strictly sequential, so no copy is ever live
-    while it edits. *)
+    {!set_input_directive}) are visible through existing copies, while
+    net-level edits are not.  The incremental service keeps one copy per
+    further delay corner and replays every edit into each: re-applying
+    an instance edit is a no-op, a net edit lands on the copy's own
+    record.  It is strictly sequential, so no copy is evaluated while it
+    edits. *)
 
 val set_wire_delay_opt : t -> int -> Delay.t option -> unit
 (** Set or clear ([None] restores the default rule) a net's

@@ -87,18 +87,18 @@ let pulse_entries ~inst ~signal ~required ~kind ~value wf =
                  e_at = wrap p s;
                })
 
-let entries_of_inst ev lane (inst : Netlist.inst) =
+let entries_of_inst ev (inst : Netlist.inst) =
   let nl = Eval.netlist ev in
   let net_name i = (Netlist.net nl inst.Netlist.i_inputs.(i).Netlist.c_net).Netlist.n_name in
   match inst.Netlist.i_prim with
   | Primitive.Setup_hold_check { setup; hold }
   | Primitive.Setup_rise_hold_fall_check { setup; hold } ->
-    let data = Eval.input_waveform_lane ev lane inst 0
-    and ck = Eval.input_waveform_lane ev lane inst 1 in
+    let data = Eval.input_waveform ev inst 0
+    and ck = Eval.input_waveform ev inst 1 in
     setup_hold_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~clock:(net_name 1)
       ~setup ~hold ~data ~ck
   | Primitive.Min_pulse_width { high; low } ->
-    let wf = Eval.input_waveform_lane ev lane inst 0 in
+    let wf = Eval.input_waveform ev inst 0 in
     pulse_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~required:high
       ~kind:Min_high ~value:Tvalue.V1 wf
     @ pulse_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~required:low
@@ -107,10 +107,10 @@ let entries_of_inst ev lane (inst : Netlist.inst) =
   | Primitive.Latch _ | Primitive.Const _ ->
     []
 
-let compute ?(lane = 0) ev =
+let compute ev =
   let acc = ref [] in
   Netlist.iter_insts (Eval.netlist ev) (fun inst ->
-      acc := entries_of_inst ev lane inst :: !acc);
+      acc := entries_of_inst ev inst :: !acc);
   List.concat !acc |> List.sort (fun a b -> compare a.e_slack b.e_slack)
 
 let worst ev = match compute ev with [] -> None | e :: _ -> Some e

@@ -28,12 +28,12 @@ type entry = {
   e_at : Timebase.ps;    (** cycle time of the reference edge or pulse *)
 }
 
-val compute : ?lane:int -> Eval.t -> entry list
+val compute : Eval.t -> entry list
 (** One entry per constraint instance per clock edge / pulse, computed
-    from the current evaluation state, sorted by ascending slack.
-    [lane] (default [0], the reference corner) selects which corner
-    lane's waveforms the margins are measured on — the per-corner slack
-    tables of a multi-corner run (doc/CORNERS.md). *)
+    from the current evaluation state, sorted by ascending slack.  A
+    multi-corner run prints one table per corner, each from that
+    corner's evaluator ([Verifier.corner_result.co_eval],
+    doc/CORNERS.md). *)
 
 val worst : Eval.t -> entry option
 

@@ -24,22 +24,19 @@ type obs_summary = {
   os_cache_hits : int;
   os_cache_misses : int;
   os_pruned_evals : int;
-  os_corners : int;
-  os_corner_lanes_shared : int;
-  os_corner_evals_saved : int;
   os_window_insts : int;
   os_window_nets : int;
   os_window_unbounded : int;
-  os_window_lanes_static : int;
   os_window_evals : int;
   os_window_checks : int;
-  os_cases_merged : int;
   os_evals_by_kind : (string * int) list;
 }
 
 type corner_result = {
   co_corner : Corner.t;
   co_violations : Check.t list;
+  co_cases : case_result list;
+  co_eval : Eval.t;
 }
 
 type probe = {
@@ -87,54 +84,36 @@ let obs_of_counters (c : Eval.counters) =
     os_cache_hits = c.Eval.c_cache_hits;
     os_cache_misses = c.Eval.c_cache_misses;
     os_pruned_evals = c.Eval.c_pruned_evals;
-    os_corners = c.Eval.c_corners;
-    os_corner_lanes_shared = c.Eval.c_corner_lanes_shared;
-    os_corner_evals_saved = c.Eval.c_corner_evals_saved;
     os_window_insts = c.Eval.c_window_insts;
     os_window_nets = c.Eval.c_window_nets;
     os_window_unbounded = c.Eval.c_window_unbounded;
-    os_window_lanes_static = c.Eval.c_window_lanes_static;
     os_window_evals = c.Eval.c_window_evals;
     os_window_checks = c.Eval.c_window_checks;
-    os_cases_merged = 0;  (* overridden by [verify] when merging is on *)
     os_evals_by_kind = c.Eval.c_evals_by_kind;
   }
 
-(* Per-lane checker verdicts for corners 1..k-1 of the current fixpoint;
-   empty for a single-corner evaluator, so the historical path never
-   runs an extra check pass. *)
-let lane_checks ev =
-  List.init (Eval.n_corners ev - 1) (fun l -> Eval.check_lane ev (l + 1))
-
 (* ---- the sequential engine (jobs = 1, the §2.7 baseline) ----------------- *)
 
-let verify_sequential ~sched ~probe ~schedule ~window ~case_list nl =
+(* The §2.7 case sweep on one evaluator: each case is evaluated
+   incrementally from the previous case's fixpoint, then checked. *)
+let sweep ?probe ev case_list =
   (* [span] must stay let-bound polymorphic (it wraps both unit and
      list-returning phases), so each engine rebuilds it from [probe]
      rather than taking it as a (monomorphic) argument. *)
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
   in
-  let ev = Eval.create ~mode:sched ?sched:schedule ?window nl in
-  (match probe with
-  | Some { pr_event = Some _ as h; _ } -> Eval.set_event_hook ev h
-  | Some { pr_event = None; _ } | None -> ());
-  let run_case i case =
-    let before_events = Eval.events ev and before_evals = Eval.evaluations ev in
-    span
-      (Printf.sprintf "evaluate:case%d" (i + 1))
-      (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
-    let violations =
-      span (Printf.sprintf "check:case%d" (i + 1)) (fun () -> Eval.check ev)
-    in
-    let corner_violations =
-      (* no extra span (or work) on the single-corner path: traces must
-         stay identical to the historical ones *)
-      if Eval.n_corners ev = 1 then []
-      else
-        span (Printf.sprintf "check:case%d:corners" (i + 1)) (fun () -> lane_checks ev)
-    in
-    ( {
+  let nl = Eval.netlist ev in
+  List.mapi
+    (fun i case ->
+      let before_events = Eval.events ev and before_evals = Eval.evaluations ev in
+      span
+        (Printf.sprintf "evaluate:case%d" (i + 1))
+        (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
+      let violations =
+        span (Printf.sprintf "check:case%d" (i + 1)) (fun () -> Eval.check ev)
+      in
+      {
         cr_case = case;
         cr_violations = violations;
         cr_events = Eval.events ev - before_events;
@@ -142,10 +121,15 @@ let verify_sequential ~sched ~probe ~schedule ~window ~case_list nl =
         (* sampled per case: a later converging case must not mask an
            earlier one that hit the evaluation bound *)
         cr_converged = Eval.converged ev;
-      },
-      corner_violations )
-  in
-  let results = List.mapi run_case case_list in
+      })
+    case_list
+
+let verify_sequential ~sched ~probe ~schedule ~window ~case_list nl =
+  let ev = Eval.create ~mode:sched ?sched:schedule ?window nl in
+  (match probe with
+  | Some { pr_event = Some _ as h; _ } -> Eval.set_event_hook ev h
+  | Some { pr_event = None; _ } | None -> ());
+  let results = sweep ?probe ev case_list in
   (results, Eval.counters ev, ev)
 
 (* ---- the domain-parallel engine (jobs > 1) -------------------------------- *)
@@ -160,12 +144,11 @@ let verify_parallel ~sched ~probe ~schedule ~window ~case_list ~jobs nl =
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
   in
-  let case_arr = Array.of_list case_list in
-  let n = Array.length case_arr in
   (* Resolve in the parent: name errors surface before any domain is
-     spawned, and net ids are identical in every copy. *)
-  let resolved = Array.map (Case_analysis.resolve nl) case_arr in
-  let shards = Par.shards ~jobs n in
+     spawned. *)
+  List.iter (fun c -> ignore (Case_analysis.resolve nl c)) case_list;
+  let case_arr = Array.of_list case_list in
+  let shards = Par.shards ~jobs (Array.length case_arr) in
   let jobs = Array.length shards in
   (* Copies are taken before any evaluation so no domain ever reads net
      state another is writing; shard 0 keeps the caller's netlist, so
@@ -184,43 +167,20 @@ let verify_parallel ~sched ~probe ~schedule ~window ~case_list ~jobs nl =
     let ev = Eval.create ~mode:sched ?sched:schedule ?window netlists.(k) in
     if lo > 0 then begin
       (* Warm-start priming: un-measured, un-hooked, un-counted.  The
-         check pass is replayed too: it fills the input-waveform cache
-         exactly as the sequential run's preceding case did, so the
-         cache hit/miss counters of every measured case stay identical
-         to jobs:1. *)
-      Eval.run ~case:resolved.(lo - 1) ev;
-      ignore (Eval.check ev);
-      (* lane checks fill the per-lane caches too, keeping the measured
-         cache counters identical to jobs:1 at any corner count *)
-      ignore (lane_checks ev);
+         check pass is replayed too: it fills the input-waveform caches
+         and the check memo exactly as the sequential run's preceding
+         case did, so the cache hit/miss counters of every measured case
+         stay identical to jobs:1. *)
+      ignore (sweep ev [ case_arr.(lo - 1) ]);
       Eval.reset_counters ev
     end;
     let buf = ref [] in
     if record_events then
       Eval.set_event_hook ev
         (Some (fun ~inst_id ~net_id -> buf := (inst_id, net_id) :: !buf));
-    let results =
-      List.init (hi - lo) (fun j ->
-          let i = lo + j in
-          buf := [];
-          let before_events = Eval.events ev
-          and before_evals = Eval.evaluations ev in
-          Eval.run ~case:resolved.(i) ev;
-          let violations = Eval.check ev in
-          let corner_violations =
-            if Eval.n_corners ev = 1 then [] else lane_checks ev
-          in
-          ( ( {
-                cr_case = case_arr.(i);
-                cr_violations = violations;
-                cr_events = Eval.events ev - before_events;
-                cr_evaluations = Eval.evaluations ev - before_evals;
-                cr_converged = Eval.converged ev;
-              },
-              corner_violations ),
-            List.rev !buf ))
-    in
-    (results, Eval.counters ev, ev)
+    (* workers never call [pr_span] *)
+    let results = sweep ev (Array.to_list (Array.sub case_arr lo (hi - lo))) in
+    (results, List.rev !buf, Eval.counters ev, ev)
   in
   let shard_results =
     span
@@ -228,39 +188,45 @@ let verify_parallel ~sched ~probe ~schedule ~window ~case_list ~jobs nl =
       (fun () -> Par.run ~jobs run_shard)
   in
   (* Replay the per-domain event logs into the caller's hook from this
-     single domain, in case order — the stream an external consumer
-     (e.g. the causal ring) sees is the sequential one. *)
+     single domain, in shard (hence case) order — the stream an external
+     consumer (e.g. the causal ring) sees is the sequential one. *)
   (match probe with
   | Some { pr_event = Some h; _ } ->
     span "merge:events" (fun () ->
         Array.iter
-          (fun (results, _, _) ->
-            List.iter
-              (fun (_, events) ->
-                List.iter (fun (inst_id, net_id) -> h ~inst_id ~net_id) events)
-              results)
+          (fun (_, events, _, _) ->
+            List.iter (fun (inst_id, net_id) -> h ~inst_id ~net_id) events)
           shard_results)
   | Some { pr_event = None; _ } | None -> ());
   let results =
-    List.concat_map (fun (rs, _, _) -> List.map fst rs) (Array.to_list shard_results)
+    List.concat_map (fun (rs, _, _, _) -> rs) (Array.to_list shard_results)
   in
   let counters =
     (* per-domain counter structs merged at join; no shared hot-path
        state (merge semantics in Eval.merge_counters). *)
     Array.fold_left
-      (fun acc (_, c, _) -> Eval.merge_counters acc c)
+      (fun acc (_, _, c, _) -> Eval.merge_counters acc c)
       Eval.zero_counters shard_results
   in
   (* The last shard ends having evaluated the final case, so its
      evaluator holds the same fixpoint state as the sequential run's. *)
-  let _, _, last_ev = shard_results.(jobs - 1) in
+  let _, _, _, last_ev = shard_results.(jobs - 1) in
   (results, counters, last_ev)
 
+let corner_result corner results ev =
+  {
+    co_corner = corner;
+    co_violations =
+      dedup_violations (List.concat_map (fun r -> r.cr_violations) results);
+    co_cases = results;
+    co_eval = ev;
+  }
+
 let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(sched = Eval.Level)
-    ?(window_prune = true) ?(merge_cases = false) ?window ?corners nl =
+    ?(window_prune = true) ?window ?corners nl =
   if jobs < 0 then invalid_arg "Verifier.verify: jobs must be >= 0";
   (* Install the corner table before any evaluator (or netlist copy) is
-     created; every domain's evaluator then packs the same lanes. *)
+     created. *)
   (match corners with None -> () | Some tbl -> Netlist.set_corners nl tbl);
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
@@ -272,11 +238,12 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(sched = Eval.Level)
   in
   let case_list = match cases with [] -> [ [] ] | cs -> cs in
   (* One static analysis per netlist, shared read-only by every
-     evaluation domain: the arrival-window analysis (doc/WINDOWS.md).
-     Its case-net union covers every net any case of this run may
-     substitute, so the proofs are valid for all of them. *)
+     evaluation domain and every corner: the arrival-window analysis
+     (doc/WINDOWS.md).  Its case-net union covers every net any case of
+     this run may substitute, and its proofs hold at every corner of the
+     table, so they are valid for every evaluator below. *)
   let window =
-    if not window_prune && not merge_cases then None
+    if not window_prune then None
     else
       match window with
       | Some _ -> window
@@ -293,54 +260,39 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(sched = Eval.Level)
     | Eval.Level, Some w -> Some (Window.sched w)
     | Eval.Level, None -> Some (Sched.compute nl)
   in
-  (* Case-equivalence merging: the representative's verdicts stand for
-     its whole class, so only representatives are evaluated; the dropped
-     count is reported in [r_obs.os_cases_merged]. *)
-  let case_list, n_cases_merged =
-    match window with
-    | Some w when merge_cases ->
-      Case_analysis.partition
-        ~signature:(fun c -> Window.case_signature w (Case_analysis.resolve nl c))
-        case_list
-    | Some _ | None -> (case_list, 0)
-  in
-  let eval_window = if window_prune then window else None in
   let jobs = if jobs = 0 then Par.available () else jobs in
   let jobs = max 1 (min jobs (List.length case_list)) in
-  let paired, counters, ev =
-    if jobs = 1 then
-      verify_sequential ~sched ~probe ~schedule ~window:eval_window ~case_list nl
-    else
-      verify_parallel ~sched ~probe ~schedule ~window:eval_window ~case_list ~jobs nl
+  let run ~probe nl =
+    if jobs = 1 then verify_sequential ~sched ~probe ~schedule ~window ~case_list nl
+    else verify_parallel ~sched ~probe ~schedule ~window ~case_list ~jobs nl
   in
-  let results = List.map fst paired in
-  let all = List.concat_map (fun r -> r.cr_violations) results in
-  let r_violations = dedup_violations all in
-  let corner_tbl = Eval.corners ev in
-  (* Corner 0 shares the headline violation list; the extra corners
-     aggregate their per-case lane verdicts the same way (concatenate in
-     case order, dedup). *)
-  let r_corners =
-    List.init (Array.length corner_tbl) (fun c ->
-        let viols =
-          if c = 0 then r_violations
-          else
-            dedup_violations
-              (List.concat_map (fun (_, lanes) -> List.nth lanes (c - 1)) paired)
-        in
-        { co_corner = corner_tbl.(c); co_violations = viols })
+  let results, counters, ev = run ~probe nl in
+  let table = Netlist.corners nl in
+  let reference = corner_result table.(0) results ev in
+  (* Every further corner is an ordinary single-corner verification of
+     its own copy of the netlist: same cases, schedule, window proofs and
+     [jobs], no lint and no event hook. *)
+  let others =
+    List.map
+      (fun (c : Corner.t) ->
+        span ("corner:" ^ c.Corner.name) (fun () ->
+            let copy = Netlist.copy nl in
+            Netlist.set_corners copy [| c |];
+            let results, _, ev = run ~probe:None copy in
+            corner_result c results ev))
+      (List.tl (Array.to_list table))
   in
   {
     r_cases = results;
     r_events = counters.Eval.c_events;
     r_evaluations = counters.Eval.c_evaluations;
-    r_violations;
-    r_corners;
+    r_violations = reference.co_violations;
+    r_corners = reference :: others;
     r_converged = List.for_all (fun r -> r.cr_converged) results;
     r_unasserted =
       List.map (fun (n : Netlist.net) -> n.n_name) (Netlist.undriven_unasserted nl);
     r_lint = lint_summary;
-    r_obs = { (obs_of_counters counters) with os_cases_merged = n_cases_merged };
+    r_obs = obs_of_counters counters;
     r_eval = ev;
     r_jobs = jobs;
   }
@@ -385,21 +337,14 @@ let pp ppf r =
   let o = r.r_obs in
   (* Static proof shape only: the line is identical across job counts
      and across cold/serve replays of the same design. *)
-  if o.os_window_insts + o.os_window_nets + o.os_window_lanes_static
-     + o.os_cases_merged > 0
-  then
-    Format.fprintf ppf
-      "windows: %d checkers proven, %d nets proven, %d lanes static, %d cases \
-       merged@,"
-      o.os_window_insts o.os_window_nets o.os_window_lanes_static
-      o.os_cases_merged;
+  if o.os_window_insts + o.os_window_nets > 0 then
+    Format.fprintf ppf "windows: %d checkers proven, %d nets proven@,"
+      o.os_window_insts o.os_window_nets;
   (* The corner section appears only on a multi-corner run, so a
      single-corner report stays byte-identical to the historical one. *)
   (match r.r_corners with
   | [] | [ _ ] -> ()
   | cs ->
-    Format.fprintf ppf "corners: %d   lane outputs shared: %d   lane evals saved: %d@,"
-      r.r_obs.os_corners r.r_obs.os_corner_lanes_shared r.r_obs.os_corner_evals_saved;
     List.iter
       (fun c ->
         Format.fprintf ppf "corner %a: %d violations@," Corner.pp c.co_corner

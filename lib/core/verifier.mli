@@ -55,10 +55,6 @@ type obs_summary = {
   os_pruned_evals : int;
       (** evaluations skipped on instances outside an edit's dirty cone
           ({!Eval.refreeze}); [0] for one-shot runs *)
-  os_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
-  os_corner_lanes_shared : int;
-      (** lane outputs stored as the shared reference record *)
-  os_corner_evals_saved : int;  (** lane evaluations skipped outright *)
   os_window_insts : int;
       (** checkers statically proven clean by the arrival-window
           analysis (doc/WINDOWS.md); [0] under [~window_prune:false] *)
@@ -66,16 +62,10 @@ type obs_summary = {
       (** driven nets whose stable assertion is statically proven *)
   os_window_unbounded : int;
       (** nets with unbounded ([Top]) windows at the reference corner *)
-  os_window_lanes_static : int;
-      (** extra corner lanes statically proven identical to the
-          reference's window map *)
   os_window_evals : int;
       (** evaluations skipped on window-frozen checkers *)
   os_window_checks : int;
       (** checker/assertion verdicts served statically *)
-  os_cases_merged : int;
-      (** cases dropped as window-equivalent to an evaluated
-          representative; [0] unless [~merge_cases:true] *)
   os_evals_by_kind : (string * int) list;
       (** primitive evaluations per kind mnemonic, alphabetical *)
 }
@@ -85,15 +75,21 @@ type obs_summary = {
 type corner_result = {
   co_corner : Corner.t;
   co_violations : Check.t list;
-      (** deduplicated union over all cases, evaluated on this corner's
-          lane; corner 0's list {e is} [r_violations] *)
+      (** deduplicated union over all cases; corner 0's list {e is}
+          [r_violations] *)
+  co_cases : case_result list;  (** this corner's per-case results *)
+  co_eval : Eval.t;
+      (** this corner's final evaluator (for per-corner slack tables);
+          corner 0's {e is} [r_eval] *)
 }
 (** Per-corner verdict of a multi-corner run (doc/CORNERS.md). *)
 
 type probe = {
   pr_span : 'a. string -> (unit -> 'a) -> 'a;
-      (** wraps each internal phase — ["lint"], ["evaluate:caseN"],
-          ["check:caseN"] — so an external profiler can time them *)
+      (** wraps each internal phase — ["lint"], ["window"],
+          ["evaluate:caseN"], ["check:caseN"], and one ["corner:NAME"]
+          around each further corner's whole verification — so an
+          external profiler can time them *)
   pr_event : (inst_id:int -> net_id:int -> unit) option;
       (** when present, installed as the evaluator's per-event hook
           (see {!Eval.set_event_hook}) *)
@@ -117,7 +113,8 @@ type report = {
       (** cross-reference of undriven, unasserted signals *)
   r_lint : lint_summary option;
       (** present when {!verify} was given a [?lint] hook *)
-  r_obs : obs_summary;  (** evaluator counters (always present) *)
+  r_obs : obs_summary;
+      (** evaluator counters of the reference corner (always present) *)
   r_eval : Eval.t;  (** final evaluator state, for summary listings *)
   r_jobs : int;  (** effective parallelism the run actually used *)
 }
@@ -129,7 +126,6 @@ val verify :
   ?jobs:int ->
   ?sched:Eval.mode ->
   ?window_prune:bool ->
-  ?merge_cases:bool ->
   ?window:Window.t ->
   ?corners:Corner.table ->
   Netlist.t ->
@@ -164,33 +160,40 @@ val verify :
     [window_prune] (default [true]) runs the static arrival-window
     analysis ({!Window.analyse}, doc/WINDOWS.md, fed the union of the
     mapped nets of every case) and serves the verdicts of checkers it
-    proves clean at every corner without evaluating them — composing
-    with multi-corner lanes (proofs quantify over the whole table).  It
-    never changes the verdict: waveforms, violations and convergence
+    proves clean at every corner without evaluating them — one table
+    serves every corner, since its proofs quantify over the whole
+    corner table.  It never changes the verdict: waveforms, violations and convergence
     flags are bit-identical to [~window_prune:false] at any [jobs]; only
     the work counters differ ([os_window_*]).  CLI: [--no-window-prune].
-
-    [merge_cases] (default [false]) partitions the case list by
-    {!Window.case_signature} and evaluates one representative per
-    equivalence class — two cases with equal signatures provably produce
-    identical waveforms on every net.  The dropped count is reported in
-    [os_cases_merged]; [r_cases] then holds the representatives only.
-    CLI: [--merge-cases].
 
     [window] supplies a precomputed window analysis (it must describe
     this netlist's structure and cover this run's case nets; the
     incremental service keeps one current across edits with
-    {!Window.update}); ignored when both [window_prune] and
-    [merge_cases] are off.
+    {!Window.update}); ignored when [window_prune] is off.
 
     [corners] installs a delay-corner table on the netlist
     ({!Netlist.set_corners}) before evaluation, overriding any SDL
-    [CORNERS] directive; all k corners are then propagated in one
-    traversal and the per-corner verdicts land in [r_corners]
-    (doc/CORNERS.md).  Corner 0 is the reference: its violations, order
-    and convergence flags are bit-identical to a plain single-corner run
-    at any [jobs].  CLI: [--corners slow,typ,fast].
+    [CORNERS] directive (doc/CORNERS.md).  Corner 0 is the reference:
+    it is verified on [nl] itself, and [r_cases], [r_violations],
+    [r_obs] and [r_eval] are its — bit-identical to a plain
+    single-corner run at any [jobs].  Each further corner, in table
+    order, is then verified like a dedicated [~corners:[| c |]] run on
+    its own {!Netlist.copy} (same cases, [sched], [jobs] and window
+    proofs; no lint, no event hook) inside a ["corner:NAME"] span.
+    Every corner's verdicts land in [r_corners].
+    CLI: [--corners slow,typ,fast].
     @raise Invalid_argument when [jobs < 0]. *)
+
+val sweep : ?probe:probe -> Eval.t -> Case_analysis.case list -> case_result list
+(** [sweep ev cases] — the §2.7 case sweep on an existing evaluator:
+    each case (one symbolic cycle for [[[]]]) is evaluated incrementally
+    from the previous fixpoint, then checked, under ["evaluate:caseN"] /
+    ["check:caseN"] spans.  {!verify}'s sequential engine; exposed so
+    the incremental service replays sweeps on its persistent
+    evaluators. *)
+
+val corner_result : Corner.t -> case_result list -> Eval.t -> corner_result
+(** One corner's verdict from its sweep results and final evaluator. *)
 
 val clean : report -> bool
 (** No violations in any case on any corner. *)

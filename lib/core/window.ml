@@ -34,7 +34,6 @@ type t = {
   p_guar : Bytes.t;          (* checker statically proven violated *)
   p_net : Bytes.t;           (* stable assertion statically satisfied *)
   p_contra : Bytes.t;        (* stable assertion statically contradicted *)
-  mutable lane_eq : bool array;  (* per corner: window map equals corner 0's *)
   by_scc : Netlist.inst list array;
 }
 
@@ -760,23 +759,6 @@ let prove_all t ~only =
           (if contra_net t n then '\001' else '\000')
       end)
 
-let compute_lanes t =
-  let n = Netlist.n_nets t.nl in
-  let eq = Array.make t.k true in
-  for c = 1 to t.k - 1 do
-    let same = ref true in
-    (try
-       for id = 0 to n - 1 do
-         if t.cwins.(c).(id) <> t.cwins.(0).(id) then begin
-           same := false;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    eq.(c) <- !same
-  done;
-  t.lane_eq <- eq
-
 (* ---- construction --------------------------------------------------------- *)
 
 let analyse ?sched:sched_opt ?(case_nets = []) nl =
@@ -810,7 +792,6 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
       p_guar = Bytes.make (max 1 n_insts) '\000';
       p_net = Bytes.make (max 1 n_nets) '\000';
       p_contra = Bytes.make (max 1 n_nets) '\000';
-      lane_eq = Array.make k true;
       by_scc;
     }
   in
@@ -823,7 +804,6 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
   done;
   compute_constrained t ~within:(fun _ -> true);
   prove_all t ~only:None;
-  compute_lanes t;
   t
 
 (* The components whose constrained flag an edit of [dirty_nets] can
@@ -905,7 +885,6 @@ let update t ~dirty_nets =
   done;
   compute_constrained t ~within:(constrained_cone t dirty_nets);
   prove_all t ~only:(Some dirty);
-  compute_lanes t;
   t
 
 (* ---- accessors ------------------------------------------------------------ *)
@@ -954,188 +933,6 @@ let n_unconstrained t =
       if not t.constrained.(n.Netlist.n_id) then incr c);
   !c
 
-let lane_static_equal t c = c = 0 || (c < t.k && t.lane_eq.(c))
-
-let n_lanes_static t =
-  let c = ref 0 in
-  for i = 1 to t.k - 1 do
-    if t.lane_eq.(i) then incr c
-  done;
-  !c
-
-(* ---- case-equivalence signatures ------------------------------------------ *)
-
-(* Labels over the substituted cone.  LK v is a *truth* claim — the
-   net's settled waveform is constant [v] under this case — so it may
-   absorb differing sibling labels through a dominant gate input; LInfl
-   records which substitutions can reach the net.  Equal label maps over
-   the cone imply equal waveforms on every net (topological induction:
-   non-cone inputs are case-invariant, LK inputs are equal constants,
-   and every primitive is a deterministic function of its inputs), hence
-   equal reports — Case_analysis merges such cases. *)
-type clab =
-  | LK of Tvalue.t
-  | LInfl of (int * Tvalue.t) list
-  | LAmb (* connection-level only: ambient, case-invariant *)
-
-let pair_union a b = List.sort_uniq compare (a @ b)
-
-let conn_lab t lab (cn : Netlist.conn) =
-  let inv v = if cn.Netlist.c_invert then Tvalue.lnot v else v in
-  match lab.(cn.Netlist.c_net) with
-  | Some (LK v) -> LK (inv v)
-  | Some (LInfl l) -> LInfl l
-  | Some LAmb -> LAmb
-  | None -> (
-    match t.kv.(cn.Netlist.c_net) with Some v -> LK (inv v) | None -> LAmb)
-
-let infl_of = function LInfl l -> l | LK _ | LAmb -> []
-
-let out_lab t lab (i : Netlist.inst) =
-  let ins = i.Netlist.i_inputs in
-  let cl k = conn_lab t lab ins.(k) in
-  let union_all n =
-    let acc = ref [] in
-    for k = 0 to n - 1 do
-      acc := pair_union !acc (infl_of (cl k))
-    done;
-    LInfl !acc
-  in
-  match i.Netlist.i_prim with
-  | Primitive.Const _ -> LAmb (* no inputs: never reached *)
-  | Primitive.Buf { invert; _ } -> (
-    match cl 0 with
-    | LK v -> LK (if invert then Tvalue.lnot v else v)
-    | LInfl l -> LInfl l
-    | LAmb -> LInfl [])
-  | Primitive.Gate { fn; n_inputs; invert; _ } -> (
-    let letters = List.init n_inputs (fun k -> static_letter t i k) in
-    if not (List.for_all Option.is_some letters) then union_all n_inputs
-    else begin
-      let hz =
-        List.exists (fun l -> Directive.check_hazard (Option.get l)) letters
-      in
-      let eff k =
-        if hz && not (Directive.check_hazard (Option.get (List.nth letters k)))
-        then LK (enabling_value fn)
-        else cl k
-      in
-      let effs = List.init n_inputs eff in
-      let absorbing =
-        match fn with
-        | Primitive.And -> Some Tvalue.V0
-        | Primitive.Or -> Some Tvalue.V1
-        | Primitive.Xor | Primitive.Chg -> None
-      in
-      let inv v = if invert then Tvalue.lnot v else v in
-      match absorbing with
-      | Some z when List.exists (function LK v -> Tvalue.equal v z | _ -> false) effs
-        ->
-        LK (inv z)
-      | _ ->
-        if List.for_all (function LK _ -> true | _ -> false) effs then
-          LK
-            (inv
-               (gate_fold fn
-                  (List.map (function LK v -> v | _ -> assert false) effs)))
-        else
-          LInfl
-            (List.fold_left (fun acc e -> pair_union acc (infl_of e)) [] effs)
-    end)
-  | Primitive.Mux2 _ -> (
-    match cl 2 with
-    | LK Tvalue.V0 -> (
-      match cl 0 with LK v -> LK v | LInfl l -> LInfl l | LAmb -> LInfl [])
-    | LK Tvalue.V1 -> (
-      match cl 1 with LK v -> LK v | LInfl l -> LInfl l | LAmb -> LInfl [])
-    | _ -> union_all 3)
-  | Primitive.Reg _ | Primitive.Latch _ -> union_all (Array.length ins)
-  | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
-  | Primitive.Min_pulse_width _ ->
-    LAmb (* no output: never reached *)
-
-let root_lab t (n : Netlist.net) v =
-  match n.Netlist.n_driver with
-  | Some _ -> (
-    match t.kv.(n.Netlist.n_id) with
-    | Some u -> LK u (* case-invariant constant: substitution is a no-op *)
-    | None -> LInfl [ (n.Netlist.n_id, v) ])
-  | None -> (
-    match n.Netlist.n_assertion with
-    | None -> LK v (* constant Stable base becomes constant v *)
-    | Some a ->
-      let wf =
-        Assertion.to_waveform (Netlist.defaults t.nl) (Netlist.timebase t.nl) a
-      in
-      if Waveform.n_segments wf = 1 then
-        match Waveform.value_at wf 0 with
-        | Tvalue.Stable -> LK v
-        | u -> LK u
-      else LInfl [ (n.Netlist.n_id, v) ])
-
-let adjust_case cmap o l =
-  match cmap.(o) with
-  | None -> l
-  | Some w -> (
-    match l with
-    | LK Tvalue.Stable -> LK w
-    | LK u -> LK u
-    | LInfl ps -> LInfl (pair_union ps [ (o, w) ])
-    | LAmb -> LAmb)
-
-let case_key case =
-  String.concat ","
-    (List.map
-       (fun (id, v) -> Printf.sprintf "%d=%c" id (Tvalue.to_char v))
-       (List.sort compare case))
-
-let case_signature t case =
-  (* Feedback makes the per-case evaluation trajectory (and the budget
-     cutoff of a diverging relaxation) order-sensitive in ways the label
-     induction does not cover, so merging is offered on acyclic designs
-     only: elsewhere every case keys to itself. *)
-  if Sched.max_scc_size t.sched > 1 then "!" ^ case_key case
-  else begin
-    let n = Netlist.n_nets t.nl in
-    let cmap = Array.make (max 1 n) None in
-    let lab = Array.make (max 1 n) None in
-    List.iter
-      (fun (id, v) ->
-        if id >= 0 && id < n then begin
-          cmap.(id) <- Some v;
-          lab.(id) <- Some (root_lab t (Netlist.net t.nl id) v)
-        end)
-      case;
-    for sid = Sched.n_sccs t.sched - 1 downto 0 do
-      List.iter
-        (fun (i : Netlist.inst) ->
-          match i.Netlist.i_output with
-          | None -> ()
-          | Some o ->
-            if
-              Array.exists
-                (fun (cn : Netlist.conn) -> lab.(cn.Netlist.c_net) <> None)
-                i.Netlist.i_inputs
-            then lab.(o) <- Some (adjust_case cmap o (out_lab t lab i)))
-        t.by_scc.(sid)
-    done;
-    let buf = Buffer.create 64 in
-    for id = 0 to n - 1 do
-      match lab.(id) with
-      | None -> ()
-      | Some (LK v) -> Buffer.add_string buf (Printf.sprintf "%d:K%c;" id (Tvalue.to_char v))
-      | Some (LInfl ps) ->
-        Buffer.add_string buf (Printf.sprintf "%d:I" id);
-        List.iter
-          (fun (p, v) ->
-            Buffer.add_string buf (Printf.sprintf "%d=%c," p (Tvalue.to_char v)))
-          ps;
-        Buffer.add_char buf ';'
-      | Some LAmb -> ()
-    done;
-    Buffer.contents buf
-  end
-
 (* ---- listing --------------------------------------------------------------- *)
 
 let spans_str spans =
@@ -1180,6 +977,4 @@ let pp_windows ppf t =
   Format.fprintf ppf
     "%d of %d checkers proven   %d guaranteed violations   %d asserted nets proven@,"
     (n_insts_proven t) !n_checkers (n_guaranteed t) (n_nets_proven t);
-  Format.fprintf ppf "%d of %d extra lanes statically shared@,@]"
-    (n_lanes_static t)
-    (max 0 (t.k - 1))
+  Format.fprintf ppf "@]"

@@ -19,13 +19,12 @@
     [Unknown] is non-stable but not a transition, so proofs never rely
     on windows alone there.
 
-    Three consumers share one analysis: the W-series lint rules
-    (vacuity, guaranteed violations, unconstrained cones), the
+    Two consumers share one analysis: the W-series lint rules
+    (vacuity, guaranteed violations, unconstrained cones) and the
     evaluator's window pruning ({!Eval.create}[ ?window],
     [Verifier.verify ?window_prune] — statically proven checkers are
     frozen before the first run and their verdicts served without
-    evaluation), and the case-equivalence partitioner
-    ([Case_analysis.partition] via {!case_signature}). *)
+    evaluation). *)
 
 type span = { s_lo : Timebase.ps; s_hi : Timebase.ps }
 (** One arrival window: the signal may transition at any instant of
@@ -112,31 +111,15 @@ val counts : t -> int * int
 
 val n_unconstrained : t -> int
 
-val lane_static_equal : t -> int -> bool
-(** [lane_static_equal t c] — corner [c]'s window map is identical to
-    the reference corner's, so the lane is provably shareable before any
-    evaluation (the dynamic lane-sharing of doc/CORNERS.md discovered at
-    run time). *)
-
-val n_lanes_static : t -> int
-
 val update : t -> dirty_nets:int list -> t
 (** Recompute the windows, flags and proofs of the forward cone of the
     given nets only, in place (returned for convenience) — the
     incremental service's path: a delay, assertion or directive edit
     dirties a small cone, and everything outside it is provably
-    unchanged.  A corner-table change invalidates every lane; callers
+    unchanged.  A corner-table change invalidates every window; callers
     re-run {!analyse} for that. *)
-
-val case_signature : t -> (int * Tvalue.t) list -> string
-(** A canonical signature of the case's effect on its substituted cone:
-    constant-folded values where the substitution is statically masked
-    (an AND seeing a 0, a mux with a constant select) and the reaching
-    substitutions elsewhere.  Two cases with equal signatures provably
-    produce identical waveforms on every net, hence identical verdicts —
-    [Case_analysis.partition] merges them. *)
 
 val pp_windows : Format.formatter -> t -> unit
 (** The [--windows] listing: one line per net, in net-id order, with its
     reference-corner windows, the witness that produced them, and the
-    proof/lane summary. *)
+    proof summary. *)

@@ -54,11 +54,13 @@ let apply nl = function
     { no_effect with a_touched_insts = [ id ] }
   | Cases cases -> { no_effect with a_cases = Some cases }
   | Corners tbl ->
+    let reference = (Netlist.corners nl).(0) in
     Netlist.set_corners nl tbl;
-    (* every scaled delay in the design changes: the whole netlist is
-       the dirty cone (the session also rebuilds its evaluator — the
-       lane count is fixed at Eval.create time) *)
-    { no_effect with a_touched_nets = List.init (Netlist.n_nets nl) Fun.id }
+    (* a new reference corner rescales every delay the netlist's own
+       verification sees: the whole netlist is the dirty cone.  The
+       further corners are verified on copies the session rebuilds. *)
+    if Corner.equal reference tbl.(0) then no_effect
+    else { no_effect with a_touched_nets = List.init (Netlist.n_nets nl) Fun.id }
 
 (* Validate an edit against a netlist without mutating anything, so a
    [delta] request can be rejected atomically — nothing is staged unless

@@ -26,9 +26,10 @@ type t =
   | Cases of Case_analysis.case list  (** swap the case group *)
   | Corners of Corner.table
       (** install a new delay-corner table (doc/CORNERS.md).  Dirties the
-          whole netlist — every scaled delay changes — and makes
-          {!Session.reverify} rebuild its evaluator, since the lane
-          count is fixed at creation.  JSON form:
+          whole netlist when the reference corner (corner 0) changes —
+          every scaled delay moves — and nothing otherwise;
+          {!Session.reverify} re-verifies the further corners on fresh
+          copies either way.  JSON form:
           [{"edit":"corners","spec":"slow,typ,fast"}]. *)
 
 type applied = {

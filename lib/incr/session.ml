@@ -25,11 +25,16 @@ type t = {
   s_mode : Eval.mode;
   (* mutable: kept current across edits with [Window.update]; rebuilt
      wholesale on a [Cases] or [Corners] edit, which change the
-     volatile-net set resp. the lane count baked into the table *)
+     volatile-net set resp. the corner table its proofs quantify over.
+     One table serves every corner's evaluator. *)
   mutable s_window : Window.t;
-  (* mutable: a [Corners] edit changes the lane count, which is fixed at
-     [Eval.create] time, so [reverify] swaps in a fresh evaluator *)
+  (* mutable: a [Corners] edit that moves the reference corner rescales
+     every delay, so [reverify] swaps in a fresh evaluator *)
   mutable s_ev : Eval.t;
+  (* one evaluator per further corner of the table, in table order, each
+     on its own [Netlist.copy] restricted to that corner; every staged
+     edit is replayed into each *)
+  mutable s_others : Eval.t list;
   (* observation hook shared by every request of the session: spans
      emitted here inherit whatever lane the serve loop set, so traces
      attribute each phase to its request *)
@@ -41,73 +46,18 @@ type t = {
   mutable s_cum : Eval.counters;
   mutable s_requests : int;
   mutable s_last : stats;
-  (* Cross-run violation caches: without them a re-verify would still
-     pay a full check pass over every instance, capping the win well
-     below the evaluation savings.  Entries are keyed on the generation
-     stamps of the instance's input nets (resp. the net's own stamp) at
-     the time the verdict was computed — any evaluation or edit that
-     could change the verdict bumps a stamp and misses the cache.
-     Instance-parameter edits don't move any stamp, so those entries are
-     invalidated explicitly in [reverify]. *)
-  v_inst : (Check.t list * int array) option array;
-  v_net : (Check.t list * int) option array;
 }
 
 let resolved_case_nets nl cases =
   List.sort_uniq compare
     (List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases)
 
-let input_gens nl (i : Netlist.inst) =
-  Array.map (fun (c : Netlist.conn) -> (Netlist.net nl c.c_net).n_gen) i.i_inputs
-
-(* allocation-free equality against the live stamps, for the hit path *)
-let gens_current nl (i : Netlist.inst) g =
-  let n = Array.length i.i_inputs in
-  Array.length g = n
-  &&
-  let rec go k =
-    k = n
-    || (Netlist.net nl i.i_inputs.(k).c_net).n_gen = g.(k) && go (k + 1)
-  in
-  go 0
-
-(* One checking pass with the exact shape of [Eval.check] — per-instance
-   lists in id order, then per-net lists in id order, divergence report
-   in front — so the concatenation is bit-identical to a cold run's. *)
-let cached_check t =
-  let nl = t.s_nl and ev = t.s_ev in
-  let hits = ref 0 in
-  let acc = ref [] in
-  for id = 0 to Netlist.n_insts nl - 1 do
-    let i = Netlist.inst nl id in
-    let vs =
-      match t.v_inst.(id) with
-      | Some (vs, g) when gens_current nl i g ->
-        incr hits;
-        vs
-      | _ ->
-        let vs = Eval.check_one ev id in
-        t.v_inst.(id) <- Some (vs, input_gens nl i);
-        vs
-    in
-    if not (List.is_empty vs) then acc := vs :: !acc
-  done;
-  for id = 0 to Netlist.n_nets nl - 1 do
-    let n = Netlist.net nl id in
-    let vs =
-      match t.v_net.(id) with
-      | Some (vs, g) when g = n.n_gen ->
-        incr hits;
-        vs
-      | _ ->
-        let vs = Eval.check_net ev id in
-        t.v_net.(id) <- Some (vs, n.n_gen);
-        vs
-    in
-    if not (List.is_empty vs) then acc := vs :: !acc
-  done;
-  let base = List.concat (List.rev !acc) in
-  (Eval.divergence ev @ base, !hits)
+(* Counters of every corner's evaluator, merged: a session's work
+   counters cover all the corners it verifies. *)
+let all_counters ev others =
+  List.fold_left
+    (fun acc ev -> Eval.merge_counters acc (Eval.counters ev))
+    (Eval.counters ev) others
 
 let load_indexed ?(mode = Eval.Level) ?(cases = []) ?probe table nl =
   let sched = Sched.compute nl in
@@ -115,46 +65,44 @@ let load_indexed ?(mode = Eval.Level) ?(cases = []) ?probe table nl =
   let window = Window.analyse ~sched ~case_nets nl in
   let report = Verifier.verify ~cases ~jobs:1 ?probe ~sched:mode ~window nl in
   let ev = report.Verifier.r_eval in
-  let id = Fingerprint.digest_of table nl in
-  let t =
-    {
-      s_nl = nl;
-      s_id = id;
-      s_table = table;
-      s_digest = Some id;
-      s_skeleton = lazy (Fingerprint.skeleton nl);
-      s_sched = sched;
-      s_mode = mode;
-      s_window = window;
-      s_ev = ev;
-      s_probe = probe;
-      s_cases = cases;
-      s_case_nets = case_nets;
-      s_pending = [];
-      s_report = report;
-      s_cum = Eval.zero_counters;
-      s_requests = 1;
-      s_last =
-        {
-          st_requests = 1;
-          st_reused_nets = 0;
-          st_dirtied_nets = Netlist.n_nets nl;
-          st_warm_hits = 0;
-          st_events = report.Verifier.r_events;
-          st_evaluations = report.Verifier.r_evaluations;
-        };
-      v_inst = Array.make (max 1 (Netlist.n_insts nl)) None;
-      v_net = Array.make (max 1 (Netlist.n_nets nl)) None;
-    }
+  let others =
+    List.map (fun (co : Verifier.corner_result) -> co.Verifier.co_eval)
+      (List.tl report.Verifier.r_corners)
   in
-  (* Prime the violation caches against the final cold-run state so the
-     first re-verify reuses every verdict outside its dirty cone.  This
-     replays one check pass; its waveform-cache traffic lands in the
-     cumulative counters sampled next. *)
-  ignore (cached_check t);
+  (* The cold run's check passes left every evaluator's check memo primed
+     for the final state, so the first re-verify reuses every verdict
+     outside its dirty cone. *)
   Eval.count_request ev;
-  t.s_cum <- Eval.counters ev;
-  t
+  let cum = all_counters ev others in
+  let id = Fingerprint.digest_of table nl in
+  {
+    s_nl = nl;
+    s_id = id;
+    s_table = table;
+    s_digest = Some id;
+    s_skeleton = lazy (Fingerprint.skeleton nl);
+    s_sched = sched;
+    s_mode = mode;
+    s_window = window;
+    s_ev = ev;
+    s_others = others;
+    s_probe = probe;
+    s_cases = cases;
+    s_case_nets = case_nets;
+    s_pending = [];
+    s_report = report;
+    s_cum = cum;
+    s_requests = 1;
+    s_last =
+      {
+        st_requests = 1;
+        st_reused_nets = 0;
+        st_dirtied_nets = Netlist.n_nets nl;
+        st_warm_hits = 0;
+        st_events = cum.Eval.c_events;
+        st_evaluations = cum.Eval.c_evaluations;
+      };
+  }
 
 let load ?mode ?cases ?probe nl =
   load_indexed ?mode ?cases ?probe (Fingerprint.table nl) nl
@@ -233,6 +181,7 @@ let reverify ?(carry_counters = true) t =
   (* 1. apply the staged edits, collecting cone seeds *)
   let touched_nets = ref [] and reinit_nets = ref [] and touched_insts = ref [] in
   let new_cases = ref None in
+  let old_table = Netlist.corners nl in
   span "apply" (fun () ->
       List.iter
         (fun e ->
@@ -248,34 +197,43 @@ let reverify ?(carry_counters = true) t =
     t.s_cases <- cs;
     t.s_case_nets <- resolved_case_nets nl cs
   | None -> ());
-  (* A corners edit changed the lane count, which is fixed at
-     [Eval.create] time: swap in a fresh evaluator (cold — its first run
-     below re-initializes every net, bumping every generation stamp) and
-     drop the cached verdicts wholesale.  The cumulative counters keep
-     accumulating across the swap. *)
   let window_rebuilt = ref false in
   let reanalyse_window () =
     t.s_window <- Window.analyse ~sched:t.s_sched ~case_nets:t.s_case_nets nl;
     window_rebuilt := true
   in
-  if not (Corner.table_equal (Eval.corners t.s_ev) (Netlist.corners nl)) then begin
-    (* the lane count is baked into the window table too *)
+  let table = Netlist.corners nl in
+  let corners_changed = not (Corner.table_equal old_table table) in
+  if corners_changed then begin
+    (* the window proofs quantify over the corner table *)
     reanalyse_window ();
-    let fresh =
-      Eval.create ~mode:t.s_mode ~sched:t.s_sched ~window:t.s_window nl
-    in
-    Eval.set_event_hook fresh (Eval.event_hook t.s_ev);
-    t.s_ev <- fresh;
-    Array.fill t.v_inst 0 (Array.length t.v_inst) None;
-    Array.fill t.v_net 0 (Array.length t.v_net) None
+    let create nl = Eval.create ~mode:t.s_mode ~sched:t.s_sched ~window:t.s_window nl in
+    if not (Corner.equal old_table.(0) table.(0)) then begin
+      (* a new reference corner rescales every delay ([Edit.apply]
+         touched every net): swap in a fresh evaluator, whose first run
+         below re-initializes every net.  The cumulative counters keep
+         accumulating across the swap. *)
+      let fresh = create nl in
+      Eval.set_event_hook fresh (Eval.event_hook t.s_ev);
+      t.s_ev <- fresh
+    end;
+    (* every further corner starts over on a fresh copy of the edited
+       netlist *)
+    t.s_others <-
+      List.map
+        (fun c ->
+          let copy = Netlist.copy nl in
+          Netlist.set_corners copy [| c |];
+          create copy)
+        (List.tl (Array.to_list table))
   end
-  else if !new_cases <> None then begin
+  else if !new_cases <> None then
     (* the volatile-net set is baked into the window table *)
     reanalyse_window ();
-    Eval.set_window t.s_ev (Some t.s_window)
-  end;
+  if !window_rebuilt then
+    List.iter (fun ev -> Eval.set_window ev (Some t.s_window)) (t.s_ev :: t.s_others);
   let ev = t.s_ev in
-  Eval.reset_counters ev;
+  List.iter Eval.reset_counters (ev :: t.s_others);
   Eval.count_request ev;
   let touched_nets = List.sort_uniq compare !touched_nets in
   let reinit_nets = List.sort_uniq compare !reinit_nets in
@@ -322,72 +280,57 @@ let reverify ?(carry_counters = true) t =
   (* 2. thaw exactly the dirty cone, freeze everything else; then
      re-apply the window freeze from the just-updated proofs — checkers
      still proven stay statically served even inside the thawed cone,
-     checkers no longer proven thaw and re-check *)
-  let net_dirty =
-    span "cone" (fun () ->
-        let inst_dirty, net_dirty = dirty_cone nl ~seed_nets ~seed_insts in
-        Eval.refreeze ev ~active:(fun id -> inst_dirty.(id));
-        Eval.rewindow ev;
-        net_dirty)
+     checkers no longer proven thaw and re-check.  3. inject the edits:
+     bump stamps, wake cones, drop the memoized verdicts of edited
+     instances.  The cone is structural, so every corner's evaluator
+     shares it. *)
+  let inst_dirty, net_dirty =
+    span "cone" (fun () -> dirty_cone nl ~seed_nets ~seed_insts)
   in
-  (* 3. inject the edits into the evaluator: bump stamps, wake cones *)
-  List.iter (Eval.touch_net ev) touched_nets;
-  List.iter (Eval.reassert_net ev) reinit_nets;
-  List.iter (Eval.enqueue_inst ev) touched_insts;
-  (* an instance-parameter edit moves no stamp; drop its cached verdict *)
-  List.iter (fun id -> t.v_inst.(id) <- None) touched_insts;
-  (* 4. replay the case sweep, checking each case through the caches *)
-  let warm = ref 0 in
+  let replay ev =
+    Eval.refreeze ev ~active:(fun id -> inst_dirty.(id));
+    Eval.rewindow ev;
+    List.iter (Eval.touch_net ev) touched_nets;
+    List.iter (Eval.reassert_net ev) reinit_nets;
+    List.iter (Eval.touch_inst ev) touched_insts
+  in
+  replay ev;
+  (* 4. replay the case sweep; unchanged verdicts come from the check
+     memo *)
   let case_list = match t.s_cases with [] -> [ [] ] | cs -> cs in
-  let run_case i case =
-    let before_events = Eval.events ev and before_evals = Eval.evaluations ev in
-    span
-      (Printf.sprintf "evaluate:case%d" (i + 1))
-      (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
-    let violations, hits =
-      span (Printf.sprintf "check:case%d" (i + 1)) (fun () -> cached_check t)
-    in
-    warm := !warm + hits;
-    (* the extra corners are checked uncached: the verdict caches key on
-       lane-0 stamps only, and lane stamps share them *)
-    let corner_violations =
-      if Eval.n_corners ev = 1 then []
-      else List.init (Eval.n_corners ev - 1) (fun l -> Eval.check_lane ev (l + 1))
-    in
-    ( {
-        Verifier.cr_case = case;
-        cr_violations = violations;
-        cr_events = Eval.events ev - before_events;
-        cr_evaluations = Eval.evaluations ev - before_evals;
-        cr_converged = Eval.converged ev;
-      },
-      corner_violations )
+  let results = Verifier.sweep ?probe:t.s_probe ev case_list in
+  let reference = Verifier.corner_result table.(0) results ev in
+  (* ... and the same for every further corner, on its own copy: the
+     instance array is shared, so instance edits already show through
+     and re-applying them is a no-op; net edits land on the copy's own
+     records.  A fresh evaluator (after a corners edit) runs cold. *)
+  let others =
+    List.map2
+      (fun oev (c : Corner.t) ->
+        span ("corner:" ^ c.Corner.name) (fun () ->
+            if not corners_changed then begin
+              List.iter
+                (fun e ->
+                  match e with
+                  | Edit.Corners _ -> ()
+                  | _ -> ignore (Edit.apply (Eval.netlist oev) e))
+                edits;
+              replay oev
+            end;
+            Verifier.corner_result c (Verifier.sweep oev case_list) oev))
+      t.s_others
+      (List.tl (Array.to_list table))
   in
-  let paired = List.mapi run_case case_list in
-  let results = List.map fst paired in
   (* 5. merge counters and rebuild the report in Verifier.verify's shape *)
-  let c = Eval.counters ev in
+  let c = all_counters ev t.s_others in
   t.s_cum <- Eval.merge_counters t.s_cum c;
-  let all = List.concat_map (fun r -> r.Verifier.cr_violations) results in
-  let r_violations = Verifier.dedup_violations all in
-  let corner_tbl = Eval.corners ev in
-  let r_corners =
-    List.init (Array.length corner_tbl) (fun cidx ->
-        let viols =
-          if cidx = 0 then r_violations
-          else
-            Verifier.dedup_violations
-              (List.concat_map (fun (_, lanes) -> List.nth lanes (cidx - 1)) paired)
-        in
-        { Verifier.co_corner = corner_tbl.(cidx); co_violations = viols })
-  in
   let report =
     {
       Verifier.r_cases = results;
       r_events = c.Eval.c_events;
       r_evaluations = c.Eval.c_evaluations;
-      r_violations;
-      r_corners;
+      r_violations = reference.Verifier.co_violations;
+      r_corners = reference :: others;
       r_converged = List.for_all (fun r -> r.Verifier.cr_converged) results;
       r_unasserted =
         List.map (fun (n : Netlist.net) -> n.n_name) (Netlist.undriven_unasserted nl);
@@ -411,7 +354,8 @@ let reverify ?(carry_counters = true) t =
       st_requests = t.s_requests;
       st_reused_nets = Netlist.n_nets nl - dirtied;
       st_dirtied_nets = dirtied;
-      st_warm_hits = !warm;
+      st_warm_hits =
+        List.fold_left (fun a ev -> a + Eval.check_hits ev) 0 (ev :: t.s_others);
       st_events = c.Eval.c_events;
       st_evaluations = c.Eval.c_evaluations;
     }

@@ -13,8 +13,11 @@
       PR-5 freeze path, {!Scald_core.Eval.refreeze}), and bumps
       generation stamps only inside it, so every generation-keyed cache
       outside the cone keeps its value;
-    + replays the case sweep and re-checks through per-instance /
-      per-net violation caches keyed on those same stamps;
+    + replays the case sweep, re-checking through the evaluator's check
+      memo ({!Scald_core.Eval.check}), keyed on those same stamps;
+    + does the same for every further corner of a multi-corner table,
+      each on its own netlist copy into which the edits are replayed
+      (doc/CORNERS.md);
     + merges cached and fresh violations into a report with the exact
       shape, content and order of a cold {!Scald_core.Verifier.verify}
       of the edited design.
@@ -36,9 +39,12 @@ type stats = {
   st_requests : int;  (** verify requests served so far, this one included *)
   st_reused_nets : int;  (** nets outside the dirty cone (waveform reused) *)
   st_dirtied_nets : int;  (** nets inside the dirty cone *)
-  st_warm_hits : int;  (** violation-cache verdicts reused by the check pass *)
-  st_events : int;  (** events processed by this request *)
-  st_evaluations : int;  (** evaluations performed by this request *)
+  st_warm_hits : int;
+      (** verdicts the check pass served from the check memo, all
+          corners *)
+  st_events : int;  (** events processed by this request, all corners *)
+  st_evaluations : int;
+      (** evaluations performed by this request, all corners *)
 }
 
 val load :
@@ -49,7 +55,8 @@ val load :
   t
 (** Cold-start a session: verify the netlist sequentially (computing the
     schedule and window analysis once, to be shared by every later
-    request) and prime the violation caches from the final state.
+    request and every corner); the cold run's check passes leave the
+    check memos primed for the final state.
 
     [probe] is kept for the session's lifetime: the cold verify runs
     under it, and every later {!reverify} wraps its phases ([apply],
@@ -79,7 +86,10 @@ val reverify : ?carry_counters:bool -> t -> Verifier.report * stats
     block carries: the session's {e cumulative} counters — so a
     multi-run session reports totals, the metrics a service wants — or,
     when [false], this request's counters alone.  {!stats} always holds
-    the per-request numbers; {!cumulative} always holds the totals. *)
+    the per-request numbers; {!cumulative} always holds the totals.
+    Either way the counters sum the work of every corner's evaluator
+    (unlike {!Verifier.verify}, whose counters are the reference
+    corner's). *)
 
 val stage : t -> Edit.t -> unit
 (** Stage an edit for the next {!reverify}.  Edits apply in stage
@@ -114,7 +124,8 @@ val stats : t -> stats
 (** Stats of the most recent request. *)
 
 val cumulative : t -> Eval.counters
-(** Counters accumulated over every request of this session. *)
+(** Counters accumulated over every request of this session, all
+    corners. *)
 
 val listing : t -> string
 (** The violation listing exactly as [scald_tv -q] prints it for the

@@ -7,7 +7,7 @@ type metrics = {
   m_phases : (string * float) list;
 }
 
-let schema_version = "scald-metrics/6"
+let schema_version = "scald-metrics/7"
 
 (* A duplicate key — a caller's [extra] colliding with a built-in, or
    with itself — would serialize as two identical JSON fields: valid
@@ -43,16 +43,12 @@ let of_report ?(phases = []) ?(extra = []) (r : Verifier.report) =
                (fun (c : Verifier.case_result) -> not c.Verifier.cr_converged)
                r.Verifier.r_cases) );
         ("jobs", r.Verifier.r_jobs);
-        ("corners", r.Verifier.r_obs.Verifier.os_corners);
-        ("corner_lanes_shared", r.Verifier.r_obs.Verifier.os_corner_lanes_shared);
-        ("corner_evals_saved", r.Verifier.r_obs.Verifier.os_corner_evals_saved);
+        ("corners", List.length r.Verifier.r_corners);
         ("window_insts", r.Verifier.r_obs.Verifier.os_window_insts);
         ("window_nets", r.Verifier.r_obs.Verifier.os_window_nets);
         ("window_unbounded", r.Verifier.r_obs.Verifier.os_window_unbounded);
-        ("window_lanes_static", r.Verifier.r_obs.Verifier.os_window_lanes_static);
         ("window_evals", r.Verifier.r_obs.Verifier.os_window_evals);
         ("window_checks", r.Verifier.r_obs.Verifier.os_window_checks);
-        ("cases_merged", r.Verifier.r_obs.Verifier.os_cases_merged);
         ("violations", List.length r.Verifier.r_violations);
         ("unasserted", List.length r.Verifier.r_unasserted);
       ]

@@ -200,6 +200,36 @@ let test_eval_string_propagates () =
   Alcotest.(check (pair int int)) "no accumulated spread" (0, 0)
     (Waveform.skew (Eval.value ev q))
 
+(* An &A handed on by an evaluation string (§2.8) makes the next gate
+   check hazards as if the directive were its own (the gated clock of
+   Fig 1-5 with the &A moved one level up): "&ZA" on the buffer's input
+   zeroes the buffer and carries "A" to the gate it drives.  The check
+   memo must cover such a gate. *)
+let test_inherited_hazard_check () =
+  let nl =
+    Netlist.create
+      (Timebase.make ~period_ns:50.0 ~clock_unit_ns:10.0)
+      ~default_wire_delay:Delay.zero
+  in
+  let clock = Netlist.signal nl "CLOCK .P2-3" in
+  let ckb = Netlist.signal nl "CKB" in
+  ignore
+    (Netlist.add nl
+       (Primitive.Buf { invert = false; delay = Delay.of_ns 1.0 2.0 })
+       ~inputs:[ Netlist.conn ~directive:[ Directive.Z; Directive.A ] clock ]
+       ~output:(Some ckb));
+  ignore
+    (Netlist.add nl ~name:"CLOCK GATE"
+       (gate Primitive.And 2 ~delay:(Delay.of_ns 1.0 2.0) ())
+       ~inputs:[ Netlist.conn ckb; Netlist.conn (Netlist.signal nl "ENABLE .S2.5-3.5 L") ]
+       ~output:(Some (Netlist.signal nl "GATED")));
+  let ev = run nl in
+  let hazards () =
+    List.filter (fun (v : Check.t) -> v.Check.v_kind = Check.Hazard) (Eval.check ev)
+  in
+  Alcotest.(check int) "the gate reports the hazard" 1 (List.length (hazards ()));
+  Alcotest.(check bool) "a memoized re-check agrees" true (hazards () = hazards ())
+
 (* ---- multiplexer ----------------------------------------------------------------- *)
 
 let test_mux_constant_select () =
@@ -454,6 +484,7 @@ let suite =
     Alcotest.test_case "or stable with clock" `Quick test_or_stable_with_clock;
     Alcotest.test_case "gate delay and skew" `Quick test_gate_delay_and_skew;
     Alcotest.test_case "inverter" `Quick test_inverter;
+    Alcotest.test_case "inherited hazard check" `Quick test_inherited_hazard_check;
     Alcotest.test_case "input complement" `Quick test_input_complement;
     Alcotest.test_case "chg gate" `Quick test_chg_gate;
     Alcotest.test_case "undriven inputs stable" `Quick test_undriven_inputs_stable;

@@ -167,17 +167,28 @@ let build_circuit ?(u0_max = 3.0) ?(data_wire = None) () =
        ~output:None);
   nl
 
-let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
-  a.Verifier.r_violations = b.Verifier.r_violations
-  && a.Verifier.r_converged = b.Verifier.r_converged
-  && a.Verifier.r_unasserted = b.Verifier.r_unasserted
-  && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
+let cases_equal (a : Verifier.case_result list) b =
+  List.length a = List.length b
   && List.for_all2
        (fun (x : Verifier.case_result) (y : Verifier.case_result) ->
          x.Verifier.cr_case = y.Verifier.cr_case
          && x.Verifier.cr_violations = y.Verifier.cr_violations
          && x.Verifier.cr_converged = y.Verifier.cr_converged)
-       a.Verifier.r_cases b.Verifier.r_cases
+       a b
+
+(* Equal verdicts, corner by corner and case by case. *)
+let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
+  a.Verifier.r_violations = b.Verifier.r_violations
+  && a.Verifier.r_converged = b.Verifier.r_converged
+  && a.Verifier.r_unasserted = b.Verifier.r_unasserted
+  && cases_equal a.Verifier.r_cases b.Verifier.r_cases
+  && List.length a.Verifier.r_corners = List.length b.Verifier.r_corners
+  && List.for_all2
+       (fun (x : Verifier.corner_result) (y : Verifier.corner_result) ->
+         Corner.equal x.Verifier.co_corner y.Verifier.co_corner
+         && x.Verifier.co_violations = y.Verifier.co_violations
+         && cases_equal x.Verifier.co_cases y.Verifier.co_cases)
+       a.Verifier.r_corners b.Verifier.r_corners
 
 let cold_listing (r : Verifier.report) =
   Format.asprintf "@.%a@." Report.pp_violations r.Verifier.r_violations
@@ -282,9 +293,13 @@ let test_session_reverify_equals_cold () =
     (Session.digest s);
   Alcotest.(check int) "nothing pending afterwards" 0 (Session.pending s);
   Alcotest.(check bool) "clock's cone was reused" true (st.Session.st_reused_nets > 0);
-  Alcotest.(check bool) "some verdicts were reused" true (st.Session.st_warm_hits > 0);
   Alcotest.(check bool) "the dirty cone was re-verified" true
-    (st.Session.st_dirtied_nets > 0 && st.Session.st_evaluations > 0)
+    (st.Session.st_dirtied_nets > 0 && st.Session.st_evaluations > 0);
+  (* the only checker sits in the edited cone, so its verdict was
+     re-derived; with nothing staged it is served from the check memo *)
+  let _, st' = Session.reverify s in
+  Alcotest.(check bool) "some verdicts were reused" true (st'.Session.st_warm_hits > 0);
+  Alcotest.(check int) "and nothing re-evaluated" 0 st'.Session.st_evaluations
 
 let test_session_assertion_and_revert () =
   let s = Session.load (build_circuit ()) in
@@ -339,17 +354,10 @@ let test_session_corners_edit () =
   Session.stage s (Edit.Corners corners);
   let report, _ = Session.reverify s in
   let cold = edited_cold [ Edit.Corners corners ] in
-  Alcotest.(check bool) "corners edit equals cold" true (verdicts_equal report cold);
+  Alcotest.(check bool) "corners edit equals cold, corner by corner" true
+    (verdicts_equal report cold);
   Alcotest.(check int) "three corner verdicts" 3
     (List.length report.Verifier.r_corners);
-  List.iter2
-    (fun (a : Verifier.corner_result) (b : Verifier.corner_result) ->
-      Alcotest.(check string) "corner order preserved"
-        b.Verifier.co_corner.Corner.name a.Verifier.co_corner.Corner.name;
-      Alcotest.(check bool)
-        (a.Verifier.co_corner.Corner.name ^ " lane verdicts equal cold") true
-        (a.Verifier.co_violations = b.Verifier.co_violations))
-    report.Verifier.r_corners cold.Verifier.r_corners;
   (* the table is a replayable parameter (doc/CORNERS.md): the digest
      moves with it, the skeleton doesn't *)
   let edited = build_circuit () in
@@ -361,19 +369,68 @@ let test_session_corners_edit () =
   Alcotest.(check string) "but not the skeleton"
     (Fingerprint.skeleton (build_circuit ()))
     (Fingerprint.skeleton edited);
-  (* shrinking back to the single-corner default re-creates the lanes
-     and lands exactly where the session started *)
+  (* shrinking back to the single-corner default drops the further
+     corners and lands exactly where the session started *)
   Session.stage s (Edit.Corners Corner.default);
   let report', _ = Session.reverify s in
   Alcotest.(check bool) "revert equals a fresh single-corner load" true
     (verdicts_equal report' (Session.report (Session.load (build_circuit ()))));
-  (match report'.Verifier.r_corners with
-  | [ c ] ->
-    Alcotest.(check string) "only the reference corner left" "typ"
-      c.Verifier.co_corner.Corner.name
-  | cs ->
-    Alcotest.failf "expected a single corner entry, got %d" (List.length cs));
   Alcotest.(check string) "and the original digest" base_digest (Session.digest s)
+
+(* Edits whose only effect on a verdict goes through the check memo: a
+   clock wire delay moves the checker's second input and leaves its data
+   alone, and an assertion on a driven net adds a stable-assertion check
+   that did not exist at load.  Each must equal a cold run and change
+   the verdict. *)
+let test_session_memo_sees_edits () =
+  List.iter
+    (fun (name, edit) ->
+      let s = Session.load (build_circuit ()) in
+      let base = (Session.report s).Verifier.r_violations in
+      Session.stage s edit;
+      let report, _ = Session.reverify s in
+      let cold = edited_cold [ edit ] in
+      Alcotest.(check bool) (name ^ ": verdicts equal the cold run") true
+        (verdicts_equal report cold);
+      Alcotest.(check bool) (name ^ ": the verdict changed") true
+        (cold.Verifier.r_violations <> base))
+    [
+      ("clock wire delay", Edit.Wire_delay { signal = "CK .P2-3"; delay = Some (Delay.of_ns 2.0 3.0) });
+      ("assertion on a driven net", Edit.Assertion { signal = "DATA"; assertion = Some (assertion "S0-8") });
+    ]
+
+(* A 3-corner session keeps one evaluator per further corner and
+   replays every edit into it: after a wire-delay edit that moves some
+   corner's verdict, and after its revert, every corner's verdicts equal
+   a cold 3-corner verify, and the request costs at most k times the
+   evaluations of the same edit on a one-corner session. *)
+let test_session_three_corner_edit () =
+  let design edits =
+    let nl = build_circuit () in
+    Netlist.set_corners nl (Corner.of_spec "typ,slow,hot=1.4/1.2");
+    List.iter (fun e -> ignore (Edit.apply nl e)) edits;
+    nl
+  in
+  let s = Session.load (design []) and one = Session.load (build_circuit ()) in
+  let edit = Edit.Wire_delay { signal = "DATA"; delay = Some (Delay.of_ns 0.5 9.0) } in
+  let revert = Edit.Wire_delay { signal = "DATA"; delay = None } in
+  Alcotest.(check bool) "the edit moves a verdict" false
+    (verdicts_equal (Verifier.verify (design [])) (Verifier.verify (design [ edit ])));
+  List.iter
+    (fun (name, e, applied) ->
+      Session.stage s e;
+      Session.stage one e;
+      let report, st = Session.reverify s in
+      let _, st1 = Session.reverify one in
+      Alcotest.(check bool) (name ^ ": every corner equals cold") true
+        (verdicts_equal report (Verifier.verify (design applied)));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d evaluations <= 3 x %d" name st.Session.st_evaluations
+           st1.Session.st_evaluations)
+        true
+        (st.Session.st_evaluations > 0
+        && st.Session.st_evaluations <= 3 * st1.Session.st_evaluations))
+    [ ("edit", edit, [ edit ]); ("revert", revert, [ edit; revert ]) ]
 
 (* Each edit kind changes the digest, and staging its revert — the
    parameter diff back to a fresh build — lands the incrementally kept
@@ -914,6 +971,10 @@ let suite =
     Alcotest.test_case "session case-group swap" `Quick test_session_cases_swap;
     Alcotest.test_case "session corners edit and revert" `Quick
       test_session_corners_edit;
+    Alcotest.test_case "three-corner session edit and revert" `Quick
+      test_session_three_corner_edit;
+    Alcotest.test_case "session check memo sees every edit" `Quick
+      test_session_memo_sees_edits;
     Alcotest.test_case "session digest returns to the handle on revert" `Quick
       test_session_digest_revert;
     Alcotest.test_case "session window pruning tracks edits" `Quick

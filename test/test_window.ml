@@ -2,8 +2,8 @@
    hand designs, the QCheck soundness property (every transition the
    evaluator materializes lies inside the statically computed window,
    at every corner), verdict equality of window pruning across sched ×
-   jobs × corners, case-equivalence merging, incremental update vs
-   fresh analysis, and the counter surface. *)
+   jobs × corners, incremental update vs fresh analysis, and the
+   counter surface. *)
 
 open Scald_core
 
@@ -65,23 +65,22 @@ let covered ~period wins (a, b) =
     end
 
 (* Every change window of every (non-Unknown-tainted) net's settled
-   waveform, on every corner lane, must lie inside the static window. *)
-let assert_contained nl w ev ~ctx =
+   waveform, as evaluated at [corner], must lie inside the static window
+   the analysis computed for that corner. *)
+let assert_contained ?(corner = 0) nl w ev ~ctx =
   let period = Timebase.period (Netlist.timebase nl) in
   Netlist.iter_nets nl (fun n ->
       let id = n.Netlist.n_id in
-      if not (Window.may_unknown w id) then
-        for lane = 0 to Eval.n_corners ev - 1 do
-          let wf = Eval.value_lane ev lane id in
-          let wins = Window.wins w ~corner:lane id in
-          List.iter
-            (fun { Waveform.w_start; w_stop } ->
-              if not (covered ~period wins (w_start, w_stop)) then
-                Alcotest.failf
-                  "%s: transition [%d,%d] of %s escapes its lane-%d window" ctx
-                  w_start w_stop n.Netlist.n_name lane)
-            (Waveform.change_windows wf)
-        done)
+      if not (Window.may_unknown w id) then begin
+        let wins = Window.wins w ~corner id in
+        List.iter
+          (fun { Waveform.w_start; w_stop } ->
+            if not (covered ~period wins (w_start, w_stop)) then
+              Alcotest.failf
+                "%s: transition [%d,%d] of %s escapes its corner-%d window" ctx
+                w_start w_stop n.Netlist.n_name corner)
+          (Waveform.change_windows (Eval.value ev id))
+      end)
 
 (* ---- window values on hand designs ------------------------------------ *)
 
@@ -168,13 +167,21 @@ let test_soundness_random =
           cases
       in
       let w = Window.analyse ~case_nets nl in
-      let ev = Eval.create nl in
-      List.iter
-        (fun case ->
-          Eval.run ~case:(Case_analysis.resolve nl case) ev;
-          assert_contained nl w ev
-            ~ctx:(Printf.sprintf "seed %d corner-set %d" seed ci))
-        ([] :: cases);
+      (* every corner of the table evaluated on its own copy, as a
+         multi-corner verification runs it, against that corner's
+         windows of the one k-corner analysis *)
+      Array.iteri
+        (fun corner c ->
+          let copy = Netlist.copy nl in
+          Netlist.set_corners copy [| c |];
+          let ev = Eval.create copy in
+          List.iter
+            (fun case ->
+              Eval.run ~case:(Case_analysis.resolve nl case) ev;
+              assert_contained ~corner copy w ev
+                ~ctx:(Printf.sprintf "seed %d corner-set %d" seed ci))
+            ([] :: cases))
+        (Netlist.corners nl);
       true)
 
 let test_soundness_hand_designs () =
@@ -238,76 +245,6 @@ let test_prune_verdict_equality =
         QCheck.Test.fail_reportf "verdicts differ: seed %d jobs %d" seed jobs;
       (* and something was actually proven on this workload *)
       on.Verifier.r_obs.Verifier.os_window_insts >= 0)
-
-(* ---- case-equivalence merging ------------------------------------------ *)
-
-let test_merge_cases () =
-  let nl = netgen_nl 3 in
-  let cases = netgen_cases nl in
-  let full = Verifier.verify ~cases nl in
-  let merged = Verifier.verify ~cases ~merge_cases:true (netgen_nl 3) in
-  (* every representative's verdict list matches the full run's for the
-     same case, and the union of violations is unchanged *)
-  Alcotest.(check int) "merged + kept = total"
-    (List.length cases)
-    (List.length merged.Verifier.r_cases
-    + merged.Verifier.r_obs.Verifier.os_cases_merged);
-  List.iter
-    (fun (mc : Verifier.case_result) ->
-      match
-        List.find_opt
-          (fun (fc : Verifier.case_result) ->
-            fc.Verifier.cr_case = mc.Verifier.cr_case)
-          full.Verifier.r_cases
-      with
-      | None -> Alcotest.fail "representative not in the full run"
-      | Some fc ->
-        Alcotest.(check bool) "representative verdicts match" true
-          (fc.Verifier.cr_violations = mc.Verifier.cr_violations))
-    merged.Verifier.r_cases;
-  Alcotest.(check bool) "violation union unchanged" true
-    (full.Verifier.r_violations = merged.Verifier.r_violations)
-
-let test_case_signature_soundness =
-  (* two cases with equal signatures produce identical waveforms *)
-  prop ~count:6 "equal signatures imply equal waveforms"
-    QCheck.(int_bound 1000)
-    (fun seed ->
-      let nl = netgen_nl seed in
-      let cases = netgen_cases nl in
-      let case_nets =
-        List.concat_map
-          (fun c -> List.map fst (Case_analysis.resolve nl c))
-          cases
-      in
-      let w = Window.analyse ~case_nets nl in
-      let sigs =
-        List.map (fun c -> Window.case_signature w (Case_analysis.resolve nl c)) cases
-      in
-      let fixpoints =
-        List.map
-          (fun c ->
-            let ev = Eval.create (Netlist.copy nl) in
-            Eval.run ~case:(Case_analysis.resolve nl c) ev;
-            List.init (Netlist.n_nets nl) (fun id -> Eval.value ev id))
-          cases
-      in
-      List.iteri
-        (fun i si ->
-          List.iteri
-            (fun j sj ->
-              if i < j && si = sj then
-                List.iteri
-                  (fun id (wi, wj) ->
-                    if not (Waveform.equal wi wj) then
-                      QCheck.Test.fail_reportf
-                        "seed %d: cases %d/%d share a signature but differ on \
-                         net %d"
-                        seed i j id)
-                  (List.combine (List.nth fixpoints i) (List.nth fixpoints j)))
-            sigs)
-        sigs;
-      true)
 
 (* ---- incremental update vs fresh analysis ------------------------------ *)
 
@@ -383,8 +320,6 @@ let suite =
     test_soundness_random;
     Alcotest.test_case "soundness hand designs" `Quick test_soundness_hand_designs;
     test_prune_verdict_equality;
-    Alcotest.test_case "merge cases" `Quick test_merge_cases;
-    test_case_signature_soundness;
     test_update_matches_fresh;
     Alcotest.test_case "counters surface" `Quick test_counters_surface;
   ]
